@@ -255,7 +255,11 @@ def _cmd_certify_scheme(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = max(1, int(os.environ.get("CORRGAP_THREADS", "1")))
+    raw = os.environ.get("CORRGAP_THREADS", "1")
+    try:
+        threads = max(1, int(raw))
+    except ValueError:
+        raise ValidationError(f"CORRGAP_THREADS must be an integer, got {raw!r}") from None
     report = verification_report(scale=args.scale, threads=threads)
     _emit(report, args)
     return EXIT_OK if report["passed"] else EXIT_FACT_FAILURES

@@ -69,6 +69,22 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
 
+def subset_sums(weights: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
+    """lambda(S) = sum of weights[i] over i in S, for every mask S of
+    len(weights) bits, by doubling: once bits below i are done,
+    out[2^i : 2^(i+1)] = out[:2^i] + weights[i]. O(2^n) time in the one
+    buffer `out` (allocated when not given); each sum adds its terms in
+    ascending bit order."""
+    if out is None:
+        out = np.empty(1 << len(weights))
+    out[0] = 0.0
+    k = 1
+    for w in weights:
+        np.add(out[:k], w, out=out[k : 2 * k])
+        k *= 2
+    return out
+
+
 class SetFunction:
     """Deterministic oracle f: 2^{0..n-1} -> R, addressed by bitmask.
 
@@ -130,13 +146,18 @@ class TableFunction(SetFunction):
 
     kind = "explicit"
 
-    def __init__(self, table: Sequence[float]):
-        size = len(table)
+    def __init__(self, table: Sequence[float] | np.ndarray):
+        try:
+            arr = np.array(table, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError("explicit table entries must be numbers") from None
+        size = len(arr) if arr.ndim == 1 else 0
         n = size.bit_length() - 1
-        if size != 1 << n or n < 1:
+        if n < 1 or size != 1 << n:
             raise ValidationError(f"explicit table length {size} is not 2^n for n >= 1")
+        if not np.isfinite(arr).all():
+            raise ValidationError("explicit table entries must be finite")
         super().__init__(n)
-        arr = np.asarray(table, dtype=np.float64)
         arr.flags.writeable = False
         self._table = arr
 
@@ -301,11 +322,7 @@ class FacilityLocationCost(SetFunction):
             if not opened:
                 continue
             nearest = self.distances[:, sorted(opened)].min(axis=1)
-            # subset sums of per-client costs, built one client bit at a time
-            sums = np.zeros(1)
-            for i in range(self.n):
-                sums = np.concatenate([sums, sums + nearest[i]])
-            np.minimum(best, open_cost + sums, out=best)
+            np.minimum(best, open_cost + subset_sums(nearest), out=best)
         best[0] = 0.0  # serving nobody opens nothing
         return self.base_cost + best
 
@@ -328,7 +345,12 @@ def function_from_json(data: dict) -> SetFunction:
         raise ValidationError("set-function JSON needs a 'type' field") from None
     try:
         if kind == "explicit":
-            return TableFunction(data["values"])
+            f = TableFunction(data["values"])
+            if "n" in data and data["n"] != f.n:
+                raise ValidationError(
+                    f"explicit table has {1 << f.n} values (n={f.n}) but declares n={data['n']!r}"
+                )
+            return f
         if kind == "coverage_max":
             return CoverageMax(int(data["n"]), data["partition"])
         if kind == "two_stage_flow":
@@ -342,6 +364,10 @@ def function_from_json(data: dict) -> SetFunction:
             )
     except KeyError as exc:
         raise ValidationError(f"set-function JSON missing field {exc}") from None
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} set-function JSON: {exc}") from None
     raise ValidationError(f"unknown set-function type {kind!r}")
 
 

@@ -82,20 +82,24 @@ def expectation_under(dist: ScenarioDistribution, f: SetFunction) -> float:
 
 
 def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
-    weights = np.ones(1 << n)
-    masks = np.arange(1 << n)
-    for i, pi in enumerate(p):
-        has = (masks >> i & 1).astype(bool)
-        weights[has] *= pi
-        weights[~has] *= 1.0 - pi
+    """Pr(S) = prod_{i in S} p_i * prod_{i not in S} (1 - p_i) for every mask,
+    by the doubling of core.subset_sums with multiply; each product takes its
+    factors in ascending bit order."""
+    if len(p) != n:
+        raise ValidationError(f"{len(p)} marginals for ground set of size {n}")
+    weights = np.empty(1 << n)
+    weights[0] = 1.0
+    k = 1
+    for pi in p:
+        np.multiply(weights[:k], pi, out=weights[k : 2 * k])
+        weights[:k] *= 1.0 - pi
+        k *= 2
     return weights
 
 
 def independent_expectation_exact(f: SetFunction, p: Sequence[float]) -> float:
     """E[f(S)] under independent inclusion, by full enumeration (n <= 16)."""
     p = tuple(float(x) for x in p)
-    if len(p) != f.n:
-        raise ValidationError(f"{len(p)} marginals for ground set of size {f.n}")
     if f.n > MAX_EXACT:
         raise SizeCapError(f"exact enumeration needs n <= {MAX_EXACT}, got {f.n}")
     return float(np.dot(_product_weights(f.n, p), f.values()))

@@ -24,6 +24,7 @@ from .core import (
     is_submodular,
     is_supermodular,
     popcounts,
+    subset_sums,
 )
 from .cost_sharing import certify, incremental_scheme, lift_scheme, partial_prefix_cross_monotone
 from .distributions import independent_expectation_exact
@@ -93,7 +94,7 @@ def coverage_two_stage_space(k: int = 3, epsilon: float = 0.1) -> DecisionSpace:
         ]
         hit = [popcounts(masks & np.uint64(bm)) for bm in residual_blocks]
         table = m * price + np.maximum.reduce(hit).astype(np.float64)
-        decisions.append(Decision(str(m), TableFunction(table.tolist())))
+        decisions.append(Decision(str(m), TableFunction(table)))
     return DecisionSpace(base.marginals, decisions)
 
 
@@ -201,7 +202,7 @@ def random_coverage_function(seed: int, n: int) -> TableFunction:
     table = np.zeros(1 << n)
     for w, cov in zip(weights, covered_by):
         table += w * ((masks & cov) != 0)
-    return TableFunction(table.tolist())
+    return TableFunction(table)
 
 
 def random_coverage_instance(seed: int, n: int) -> Instance:
@@ -224,12 +225,9 @@ def random_supermodular_instance(seed: int, n: int) -> Instance:
     weights = [rng.uniform(0.0, 2.0) for _ in range(n)]
     marginals = [rng.random() for _ in range(n)]
 
-    sums = np.zeros(1)
-    for i in range(n):
-        sums = np.concatenate([sums, sums + weights[i]])
     sizes = popcounts(np.arange(1 << n, dtype=np.uint64))
-    table = np.asarray(g)[sizes] + sums
-    return Instance(TableFunction(table.tolist()), marginals)
+    table = np.asarray(g)[sizes] + subset_sums(weights)
+    return Instance(TableFunction(table), marginals)
 
 
 def random_monotone_instance(seed: int, n: int) -> Instance:

@@ -9,6 +9,13 @@ solved by primal simplex over all 2^n columns, plus the closed-form optimum
 for supermodular f supported on the nested prefix sets of the p-descending
 order. Both report the dual (gamma, lambda), machine-checkable via
 verify_certificate.
+
+The column of scenario S is its indicator vector plus a trailing 1, so the
+constraint matrix is never stored: pricing computes every reduced cost
+f(S) - lambda(S) - gamma at once from the subset sums lambda(S) of the
+current duals (core.subset_sums, O(2^n) time), and the entering column is
+rebuilt from the bits of its mask. Memory is one 2^n buffer beyond the
+table of f, and the certificate scan prices the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_EXACT, Instance, SizeCapError
+from .core import MAX_EXACT, Instance, SizeCapError, subset_sums
 from .distributions import ScenarioDistribution, expectation_under, marginals_of
 
 LP_TOL = 1e-9          # pivot / reduced-cost tolerance
@@ -61,12 +68,9 @@ def prefix_masks(order) -> list[int]:
     return masks
 
 
-def _basis_matrix(basis: list[int], n: int) -> np.ndarray:
-    cols = np.empty((n + 1, len(basis)))
-    for k, mask in enumerate(basis):
-        for i in range(n):
-            cols[i, k] = mask >> i & 1
-        cols[n, k] = 1.0
+def _basis_matrix(basis: np.ndarray, n: int) -> np.ndarray:
+    cols = np.ones((n + 1, len(basis)))
+    cols[:n] = np.asarray(basis)[None, :] >> np.arange(n)[:, None] & 1
     return cols
 
 
@@ -74,19 +78,18 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     """Maximise values @ alpha over the marginal polytope; returns
     (basis masks, basic solution, duals y) at optimality."""
     n = len(p)
-    ncols = 1 << n
-    masks = np.arange(ncols)
-    rows = [((masks >> i) & 1).astype(np.float64) for i in range(n)]
-    rows.append(np.ones(ncols))
-    A = np.vstack(rows)
     b = np.append(p, 1.0)
+    bits = np.arange(n)
+    reduced = np.empty(1 << n)
+    column = np.ones(n + 1)
 
     # The nested prefix sets of the p-descending order plus the empty set form
     # a (possibly degenerate) feasible basis for any marginals, so no phase 1.
-    basis = [0] + prefix_masks(descending_order(p))
+    basis = np.array([0] + prefix_masks(descending_order(p)))
     binv = np.linalg.inv(_basis_matrix(basis, n))
     x_b = binv @ b
     x_b[x_b < 0] = 0.0
+    c_b = values[basis]
 
     bland = False
     degenerate_streak = 0
@@ -103,39 +106,38 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     while True:
         if iterations > max_iter:
             raise SimplexStallError(f"no optimum within {max_iter} pivots")
-        c_b = values[basis]
         y = c_b @ binv
-        reduced = values - y @ A
+        # reduced[S] = f(S) - sum_{i in S} y_i - y_n, in the one 2^n buffer
+        subset_sums(y[:n], out=reduced)
+        np.subtract(values, reduced, out=reduced)
+        reduced -= y[n]
         if bland:
-            candidates = np.nonzero(reduced > tol)[0]
-            entering = int(candidates[0]) if len(candidates) else -1
+            entering = int(np.argmax(reduced > tol))  # lowest improving index
         else:
             entering = int(np.argmax(reduced))
-            if reduced[entering] <= tol:
-                entering = -1
-        if entering < 0:
+        if reduced[entering] <= tol:
             if since_refactor:
                 refactor()
                 continue  # confirm optimality against a fresh factorisation
             break
-        d = binv @ A[:, entering]
-        positive = d > tol
-        if not positive.any():
+        column[:n] = entering >> bits & 1
+        d = binv @ column
+        rows = np.flatnonzero(d > tol)
+        if not len(rows):
             raise SimplexStallError("no pivot row found; tableau has drifted")
-        ratios = x_b[positive] / d[positive]
-        rows_pos = np.nonzero(positive)[0]
-        theta = ratios.min()
-        near = rows_pos[ratios <= theta + tol]
-        leave = int(min(near, key=lambda r: basis[r]))  # Bland tie-break
+        ratios = x_b[rows] / d[rows]
+        near = rows[ratios <= ratios.min() + tol]
+        leave = near[np.argmin(basis[near])]  # Bland tie-break
         theta = x_b[leave] / d[leave]
 
         pivot_row = binv[leave] / d[leave]
-        binv = binv - np.outer(d, pivot_row)
+        binv -= np.outer(d, pivot_row)
         binv[leave] = pivot_row
-        x_b = x_b - theta * d
+        x_b -= theta * d
         x_b[leave] = theta
-        x_b[x_b < 0] = 0.0
+        np.maximum(x_b, 0.0, out=x_b)
         basis[leave] = entering
+        c_b[leave] = values[entering]
 
         iterations += 1
         since_refactor += 1
@@ -152,8 +154,8 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     B = _basis_matrix(basis, n)
     x_b = np.linalg.solve(B, b)
     x_b[x_b < 0] = 0.0
-    y = np.linalg.solve(B.T, values[basis])
-    return basis, x_b, y
+    y = np.linalg.solve(B.T, c_b)
+    return basis.tolist(), x_b, y
 
 
 def worst_case_lp(inst: Instance, tol: float = LP_TOL, max_iter: int | None = None) -> WorstCaseResult:
@@ -226,12 +228,10 @@ def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CER
     if abs(expectation_under(result.distribution, inst.function) - result.value) > tol:
         return False
 
-    values = inst.function.values()
-    masks = np.arange(1 << n)
-    lam_sum = np.zeros(1 << n)
-    for i in range(n):
-        lam_sum[(masks >> i & 1) == 1] += lam[i]
-    if np.max(values - lam_sum - result.dual_gamma) > tol:
+    excess = subset_sums(lam)
+    np.subtract(inst.function.values(), excess, out=excess)
+    excess -= result.dual_gamma
+    if np.max(excess) > tol:
         return False
 
     return abs(result.dual_gamma + float(p @ lam) - result.value) <= tol

@@ -50,6 +50,18 @@ class TestGapCommand:
         code, _, _ = run_cli(capsys, "gap", "--instance", str(bad))
         assert code == 2
 
+    def test_non_finite_table_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"function": {"type": "explicit", "n": 2, "values": [0, 1, NaN, 2]}, "marginals": [0.5, 0.5]}')
+        code, out, err = run_cli(capsys, "worst-case", "--instance", str(bad))
+        assert code == 2 and out == "" and "finite" in err
+
+    def test_explicit_n_mismatch_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "n3.json"
+        bad.write_text(json.dumps({"function": {"type": "explicit", "n": 3, "values": [0, 1, 1, 2]}, "marginals": [0.5] * 3}))
+        code, out, err = run_cli(capsys, "worst-case", "--instance", str(bad))
+        assert code == 2 and out == "" and "n=3" in err
+
     def test_size_cap_exits_3(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(
@@ -219,6 +231,12 @@ class TestVerifyCommand:
         monkeypatch.setenv("CORRGAP_THREADS", "3")
         data = run_json(capsys, "verify")
         assert data["passed"] is True
+
+
+    def test_verify_rejects_non_integer_thread_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("CORRGAP_THREADS", "abc")
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2 and out == "" and "CORRGAP_THREADS" in err
 
 
 class TestConsoleEntry:

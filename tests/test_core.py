@@ -19,6 +19,7 @@ from corrgap.core import (
     is_submodular,
     is_supermodular,
     mask_of,
+    subset_sums,
 )
 
 
@@ -63,6 +64,39 @@ class TestEvaluate:
         assert v is f.values()
         with pytest.raises(ValueError):
             v[0] = 9.0
+
+
+def masked_add_sums(weights):
+    """Reference: add weights[i] into every mask holding bit i, one element
+    at a time."""
+    masks = np.arange(1 << len(weights))
+    sums = np.zeros(1 << len(weights))
+    for i, w in enumerate(weights):
+        sums[(masks >> i & 1) == 1] += w
+    return sums
+
+
+class TestSubsetSums:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_dense_bit_matrix(self, n):
+        # small integer weights make every order of summation exact
+        weights = np.random.default_rng(n).integers(-50, 50, n).astype(np.float64)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        assert np.array_equal(subset_sums(weights), bits @ weights)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_bit_identical_to_masked_add_and_concat_doubling(self, n):
+        weights = np.random.default_rng(100 + n).normal(size=n) * 1e3
+        concat = np.zeros(1)
+        for w in weights:
+            concat = np.concatenate([concat, concat + w])
+        got = subset_sums(weights)
+        assert got.tobytes() == masked_add_sums(weights).tobytes() == concat.tobytes()
+
+    def test_fills_the_given_buffer(self):
+        out = np.full(8, np.nan)
+        assert subset_sums([1.0, 2.0, 4.0], out=out) is out
+        assert out.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
 
 
 class TestStructureCheckers:
@@ -153,6 +187,29 @@ class TestFacilityLocation:
             singles = [d.function.value(m) for m in range(32)]
             assert np.allclose(table, singles, atol=1e-12)
 
+    def test_table_bit_identical_to_concat_doubling(self):
+        from corrgap.instances import random_ufl_space
+
+        for d in random_ufl_space(4, n_clients=8, n_facilities=3).decisions:
+            f = d.function
+            best = np.full(1 << f.n, np.inf)
+            for g in range(1 << len(f._closed)):
+                opened = set(f.pre_open)
+                open_cost = 0.0
+                for k, j in enumerate(f._closed):
+                    if g >> k & 1:
+                        opened.add(j)
+                        open_cost += f.open_costs[j]
+                if not opened:
+                    continue
+                nearest = f.distances[:, sorted(opened)].min(axis=1)
+                sums = np.zeros(1)
+                for i in range(f.n):
+                    sums = np.concatenate([sums, sums + nearest[i]])
+                np.minimum(best, open_cost + sums, out=best)
+            best[0] = 0.0
+            assert f.values().tobytes() == (f.base_cost + best).tobytes()
+
     def test_monotone(self):
         assert is_monotone(FacilityLocationCost(self.OPEN, self.DIST))
 
@@ -181,6 +238,19 @@ class TestJsonRoundTrips:
         g = function_from_json(f.to_json())
         assert g.to_json() == f.to_json()
         assert np.array_equal(g.values(), f.values())
+
+    def test_explicit_n_must_match_table_length(self):
+        assert function_from_json({"type": "explicit", "n": 2, "values": [0, 1, 1, 2]}).n == 2
+        assert function_from_json({"type": "explicit", "values": [0, 1, 1, 2]}).n == 2
+        for n in (3, 1, "2", None):
+            with pytest.raises(ValidationError):
+                function_from_json({"type": "explicit", "n": n, "values": [0, 1, 1, 2]})
+
+    def test_malformed_fields(self):
+        with pytest.raises(ValidationError):
+            function_from_json({"type": "explicit", "values": [0, "one"]})
+        with pytest.raises(ValidationError):
+            function_from_json({"type": "coverage_max", "n": "four", "partition": [[0]]})
 
     def test_unknown_type(self):
         with pytest.raises(ValidationError):
@@ -212,11 +282,25 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TableFunction([0.0, 1.0, 2.0])  # not a power of two
         with pytest.raises(ValidationError):
+            TableFunction([[0.0, 1.0], [1.0, 2.0]])  # not one-dimensional
+        with pytest.raises(ValidationError):
+            TableFunction([])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError):
+                TableFunction([0.0, 1.0, bad, 2.0])
+        with pytest.raises(ValidationError):
             CoverageMax(4, [[0, 1], [1, 2, 3]])  # overlap
         with pytest.raises(ValidationError):
             CoverageMax(4, [[0, 1]])  # does not cover
         with pytest.raises(ValidationError):
             TwoStageFlow(4, 5)
+
+    def test_table_from_array_is_a_private_copy(self):
+        source = np.array([0.0, 1.0, 1.5, 2.0])
+        f = TableFunction(source)
+        source[1] = 9.0
+        assert source.flags.writeable and f.value(1) == 1.0
+        assert not f.values().flags.writeable
 
     def test_values_cap(self):
         with pytest.raises(SizeCapError):

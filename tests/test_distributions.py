@@ -4,6 +4,7 @@ import pytest
 from corrgap.core import SizeCapError, TableFunction, TwoStageFlow, ValidationError
 from corrgap.distributions import (
     ScenarioDistribution,
+    _product_weights,
     expectation_under,
     independent_expectation_exact,
     independent_expectation_mc,
@@ -82,6 +83,17 @@ class TestIndependentExact:
                 assert (
                     independent_expectation_exact(inst.function, raised) >= base - 1e-12
                 )
+
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_product_weights_bit_identical_to_masked_loop(self, n):
+        p = tuple(np.random.default_rng(n).random(n).tolist())
+        masks = np.arange(1 << n)
+        reference = np.ones(1 << n)
+        for i, pi in enumerate(p):
+            has = (masks >> i & 1).astype(bool)
+            reference[has] *= pi
+            reference[~has] *= 1.0 - pi
+        assert _product_weights(n, p).tobytes() == reference.tobytes()
 
     def test_size_cap(self):
         from corrgap.core import CoverageMax

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from corrgap.core import ValidationError, is_monotone, is_submodular, is_supermodular
@@ -58,6 +60,32 @@ class TestRegistry:
         for name, builtin in REGISTRY.items():
             payload = build_builtin(name).to_json()
             json.dumps(payload)  # serialisable
+
+
+class TestTablesBitIdentical:
+    """Golden SHA-256 prefixes of generated tables. Every entry is built by
+    a fixed sequence of float operations (subset sums in ascending bit
+    order), so a reordering or a lossy conversion changes a digest."""
+
+    @staticmethod
+    def digest(table):
+        return hashlib.sha256(table.tobytes()).hexdigest()[:16]
+
+    def test_seeded_generators(self):
+        assert [self.digest(random_supermodular_instance(s, 10).function.values()) for s in (1, 2)] == [
+            "8837ec62d2121bb6",
+            "4275423f9ece96b5",
+        ]
+        assert [self.digest(random_coverage_function(s, 10).values()) for s in (1, 2)] == [
+            "19e9347a9e46ea27",
+            "4a5fa9309e19dcf3",
+        ]
+
+    def test_decision_spaces(self):
+        ufl = random_ufl_space(4, n_clients=8, n_facilities=3)
+        assert self.digest(np.concatenate([d.function.values() for d in ufl.decisions])) == "5966d69d4de08db3"
+        cover = coverage_two_stage_space(3)
+        assert self.digest(np.concatenate([d.function.values() for d in cover.decisions])) == "96b11f303fcb6c8b"
 
 
 class TestOracles:

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from corrgap.core import Instance, SizeCapError, TableFunction, TwoStageFlow
 from corrgap.distributions import independent_expectation_exact, marginals_of
 from corrgap.instances import (
     coverage_partition_instance,
+    random_coverage_instance,
     random_monotone_instance,
     random_supermodular_instance,
     threshold_instance,
@@ -87,6 +91,38 @@ class TestWorstCaseLP:
     def test_iteration_cap_raises(self):
         with pytest.raises(SimplexStallError):
             worst_case_lp(threshold_instance(6), max_iter=1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("family", ["random", "coverage"])
+    def test_matches_highs(self, n, family):
+        for seed in range(3):
+            if family == "random":
+                rng = np.random.default_rng(1000 * n + seed)
+                inst = Instance(TableFunction(rng.random(1 << n)), rng.random(n))
+            else:  # integer-heavy coverage tables give degenerate LPs
+                inst = random_coverage_instance(50 * n + seed, n)
+            bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+            a_eq = np.vstack([bits, np.ones(1 << n)])
+            b_eq = np.append(inst.marginals, 1.0)
+            highs = linprog(-inst.function.values(), A_eq=a_eq, b_eq=b_eq, method="highs")
+            assert highs.status == 0
+            result = worst_case_lp(inst)
+            assert abs(result.value + highs.fun) <= 1e-9 * max(1.0, abs(result.value))
+            assert verify_certificate(inst, result)
+            assert len(result.distribution.support) <= n + 1
+
+    def test_n16_solve_allocates_no_dense_matrix(self):
+        rng = np.random.default_rng(16)
+        inst = Instance(TableFunction(rng.random(1 << 16)), rng.random(16))
+        tracemalloc.start()
+        try:
+            result = worst_case_lp(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verify_certificate(inst, result)
+        # a 17 x 65536 float64 constraint matrix alone is 8.5 MiB
+        assert peak < 4 * 2**20
 
     def test_size_cap(self):
         from corrgap.core import CoverageMax
