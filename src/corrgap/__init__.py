@@ -6,14 +6,12 @@ and welfare-maximisation consequences, all on exactly solvable instances."""
 from .core import (
     CoverageMax,
     FacilityLocationCost,
-    GroundSet,
     Instance,
     SetFunction,
     SizeCapError,
     TableFunction,
     TwoStageFlow,
     ValidationError,
-    evaluate,
     function_from_json,
     is_monotone,
     is_subadditive,
@@ -32,10 +30,8 @@ from .cost_sharing import (
 from .distributions import (
     MCEstimate,
     ScenarioDistribution,
-    expectation_under,
     independent_expectation_exact,
     independent_expectation_mc,
-    marginals_of,
     product_distribution,
 )
 from .gap import GAP_BOUND_CONSTANT, GapReport, correlation_gap, theoretical_bound
@@ -45,13 +41,10 @@ from .robust import (
     RobustSolveReport,
     approximation_ratio,
     evaluate_g,
-    solve_independent,
-    solve_robust,
 )
 from .split import (
     ProjectedFunction,
     SplitMap,
-    project,
     reduce_to_partition,
     split_instance,
     verify_split_properties,

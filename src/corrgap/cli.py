@@ -4,14 +4,13 @@ Commands: gap | worst-case | robust | welfare | split-verify | certify-scheme
 | verify | list-instances. Exit codes: 0 success, 1 verification failures,
 2 validation error, 3 size-cap exceeded. Output is JSON (canonical) or a
 flattened CSV projection, byte-identical across runs for a fixed config and
-seed. CORRGAP_THREADS caps parallelism inside verify.
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -255,12 +254,7 @@ def _cmd_certify_scheme(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    raw = os.environ.get("CORRGAP_THREADS", "1")
-    try:
-        threads = max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"CORRGAP_THREADS must be an integer, got {raw!r}") from None
-    report = verification_report(scale=args.scale, threads=threads)
+    report = verification_report(scale=args.scale)
     _emit(report, args)
     return EXIT_OK if report["passed"] else EXIT_FACT_FAILURES
 

@@ -7,7 +7,6 @@ i is in the subset; explicit tables are indexed by that mask value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,24 +24,6 @@ class ValidationError(ValueError):
 
 class SizeCapError(RuntimeError):
     """Request exceeds the hard cap of an exact engine."""
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """The ground set {0..n-1}."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValidationError(f"ground set size must be in [1, {MAX_GROUND}], got {self.n}")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def contains(self, mask: int) -> bool:
-        return 0 <= mask <= self.full_mask
 
 
 def mask_of(elements: Sequence[int], n: int) -> int:
@@ -96,7 +77,8 @@ class SetFunction:
     kind = "abstract"
 
     def __init__(self, n: int):
-        self.ground = GroundSet(n)
+        if not 1 <= n <= MAX_GROUND:
+            raise ValidationError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
         self.n = n
         self._table: np.ndarray | None = None
 
@@ -134,7 +116,7 @@ class SetFunction:
         return out
 
     def _check_mask(self, mask: int):
-        if not self.ground.contains(mask):
+        if not 0 <= mask < 1 << self.n:
             raise ValidationError(f"mask {mask} out of range for n={self.n}")
 
     def to_json(self) -> dict:
@@ -186,7 +168,7 @@ class CoverageMax(SetFunction):
                 raise ValidationError("partition blocks overlap")
             union |= bm
             blocks.append(bm)
-        if union != self.ground.full_mask:
+        if union != (1 << n) - 1:
             raise ValidationError("partition does not cover the ground set")
         self.blocks = tuple(blocks)
 
@@ -195,9 +177,7 @@ class CoverageMax(SetFunction):
         return float(max((mask & bm).bit_count() for bm in self.blocks))
 
     def _materialize(self) -> np.ndarray:
-        masks = np.arange(1 << self.n, dtype=np.uint64)
-        per_block = [popcounts(masks & np.uint64(bm)) for bm in self.blocks]
-        return np.maximum.reduce(per_block).astype(np.float64)
+        return self.values_at(np.arange(1 << self.n, dtype=np.uint64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         arr = masks.astype(np.uint64)
@@ -235,8 +215,7 @@ class TwoStageFlow(SetFunction):
         return self.build_cost + self.penalty * max(mask.bit_count() - self.x, 0)
 
     def _materialize(self) -> np.ndarray:
-        sizes = popcounts(np.arange(1 << self.n, dtype=np.uint64))
-        return self.build_cost + self.penalty * np.maximum(sizes - self.x, 0)
+        return self.values_at(np.arange(1 << self.n, dtype=np.uint64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         sizes = popcounts(masks.astype(np.uint64))
@@ -278,7 +257,10 @@ class FacilityLocationCost(SetFunction):
         dist = np.asarray(distances, dtype=np.float64)
         if dist.shape != (n, m):
             raise ValidationError(f"distances must be {n} clients x {m} facilities")
-        if np.any(dist < 0) or np.any(np.asarray(open_costs) < 0):
+        costs = np.asarray(open_costs, dtype=np.float64)
+        if not (np.isfinite(dist).all() and np.isfinite(costs).all() and np.isfinite(base_cost)):
+            raise ValidationError("costs and distances must be finite")
+        if np.any(dist < 0) or np.any(costs < 0):
             raise ValidationError("costs and distances must be nonnegative")
         pre = frozenset(int(j) for j in pre_open)
         if any(not 0 <= j < m for j in pre):
@@ -290,38 +272,34 @@ class FacilityLocationCost(SetFunction):
         self.base_cost = float(base_cost)
         self._closed = tuple(j for j in range(m) if j not in pre)
 
+    def _open_sets(self):
+        """(open cost, sorted open facilities) for every subset of the
+        not-yet-open facilities that leaves at least one facility open."""
+        for g in range(1 << len(self._closed)):
+            opened = set(self.pre_open)
+            open_cost = 0.0
+            for k, j in enumerate(self._closed):
+                if g >> k & 1:
+                    opened.add(j)
+                    open_cost += self.open_costs[j]
+            if opened:
+                yield open_cost, sorted(opened)
+
     def value(self, mask: int) -> float:
         self._check_mask(mask)
         if mask == 0:
             return self.base_cost
         clients = elements_of(mask)
-        best = np.inf
-        for g in range(1 << len(self._closed)):
-            opened = set(self.pre_open)
-            open_cost = 0.0
-            for k, j in enumerate(self._closed):
-                if g >> k & 1:
-                    opened.add(j)
-                    open_cost += self.open_costs[j]
-            if not opened:
-                continue
-            cols = sorted(opened)
-            cost = open_cost + float(self.distances[np.ix_(clients, cols)].min(axis=1).sum())
-            best = min(best, cost)
+        best = min(
+            open_cost + float(self.distances[np.ix_(clients, cols)].min(axis=1).sum())
+            for open_cost, cols in self._open_sets()
+        )
         return self.base_cost + best
 
     def _materialize(self) -> np.ndarray:
         best = np.full(1 << self.n, np.inf)
-        for g in range(1 << len(self._closed)):
-            opened = set(self.pre_open)
-            open_cost = 0.0
-            for k, j in enumerate(self._closed):
-                if g >> k & 1:
-                    opened.add(j)
-                    open_cost += self.open_costs[j]
-            if not opened:
-                continue
-            nearest = self.distances[:, sorted(opened)].min(axis=1)
+        for open_cost, cols in self._open_sets():
+            nearest = self.distances[:, cols].min(axis=1)
             np.minimum(best, open_cost + subset_sums(nearest), out=best)
         best[0] = 0.0  # serving nobody opens nothing
         return self.base_cost + best
@@ -371,11 +349,6 @@ def function_from_json(data: dict) -> SetFunction:
     raise ValidationError(f"unknown set-function type {kind!r}")
 
 
-def evaluate(f: SetFunction, mask: int) -> float:
-    """Oracle access f(S) with range checking."""
-    return f.value(mask)
-
-
 def _checker_table(f: SetFunction, cap: int) -> np.ndarray:
     if f.n > cap:
         raise SizeCapError(f"exhaustive check needs n <= {cap}, got {f.n}")
@@ -394,8 +367,9 @@ def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     return True
 
 
-def is_submodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """Diminishing marginals: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for i != j, S avoiding both."""
+def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
+    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - tol for i != j,
+    S avoiding both; sign is +1 for submodular, -1 for supermodular."""
     v = _checker_table(f, MAX_EXACT)
     masks = np.arange(1 << f.n)
     for i in range(f.n):
@@ -403,23 +377,19 @@ def is_submodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
         for j in range(i + 1, f.n):
             bj = 1 << j
             base = masks[(masks & (bi | bj)) == 0]
-            if np.any(v[base | bi] + v[base | bj] < v[base | bi | bj] + v[base] - tol):
+            if np.any(sign * (v[base | bi] + v[base | bj]) < sign * (v[base | bi | bj] + v[base]) - tol):
                 return False
     return True
+
+
+def is_submodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
+    """Diminishing marginals: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for i != j, S avoiding both."""
+    return _exchange_holds(f, 1.0, tol)
 
 
 def is_supermodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     """Increasing marginals (the reversed inequality of is_submodular)."""
-    v = _checker_table(f, MAX_EXACT)
-    masks = np.arange(1 << f.n)
-    for i in range(f.n):
-        bi = 1 << i
-        for j in range(i + 1, f.n):
-            bj = 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            if np.any(v[base | bi] + v[base | bj] > v[base | bi | bj] + v[base] + tol):
-                return False
-    return True
+    return _exchange_holds(f, -1.0, tol)
 
 
 def is_subadditive(f: SetFunction, tol: float = CHECK_TOL) -> bool:

@@ -5,12 +5,12 @@ n <= 16, Monte Carlo with a seeded counter RNG beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_EXACT, Instance, SetFunction, SizeCapError, ValidationError
+from .core import MAX_EXACT, SetFunction, SizeCapError, ValidationError
 from .rng import counter_uniforms
 
 NEG_PROB_EPS = 1e-12   # clamp floor for simplex output hygiene
@@ -71,16 +71,6 @@ class ScenarioDistribution:
         return cls(n, pairs)
 
 
-def marginals_of(dist: ScenarioDistribution) -> np.ndarray:
-    """Per-element inclusion probabilities of a scenario distribution."""
-    return dist.marginals()
-
-
-def expectation_under(dist: ScenarioDistribution, f: SetFunction) -> float:
-    """E[f(S)] with S drawn from the scenario distribution."""
-    return dist.expectation(f)
-
-
 def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
     """Pr(S) = prod_{i in S} p_i * prod_{i not in S} (1 - p_i) for every mask,
     by the doubling of core.subset_sums with multiply; each product takes its
@@ -113,10 +103,6 @@ def product_distribution(n: int, p: Sequence[float]) -> ScenarioDistribution:
     return ScenarioDistribution(n, list(enumerate(weights.tolist())))
 
 
-def independent_expectation(inst: Instance) -> float:
-    return independent_expectation_exact(inst.function, inst.marginals)
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     estimate: float
@@ -125,12 +111,7 @@ class MCEstimate:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _MC_CHUNK = 1 << 15

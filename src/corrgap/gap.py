@@ -4,7 +4,7 @@ for an instance, with the cost-sharing bound eta * beta * e/(e-1)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import Instance, ValidationError
 from .distributions import independent_expectation_exact
@@ -25,26 +25,15 @@ class GapReport:
     bound_satisfied: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "worst_value": self.worst_value,
-            "independent_value": self.independent_value,
-            "kappa": self.kappa,
-            "undefined": self.undefined,
-            "bound": self.bound,
-            "bound_satisfied": self.bound_satisfied,
-        }
+        return asdict(self)
 
-    CSV_FIELDS = ("worst_value", "independent_value", "kappa", "undefined", "bound", "bound_satisfied")
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(GapReport.CSV_FIELDS)
-
-    def csv_row(self) -> str:
-        def cell(v):
-            return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-        return ",".join(cell(getattr(self, name)) for name in self.CSV_FIELDS)
+def safe_ratio(numerator: float, denominator: float) -> float | None:
+    """numerator / denominator, except that a zero denominator gives 1.0 when
+    the numerator is zero too and None otherwise -- never NaN."""
+    if denominator > _ZERO_EPS or denominator < -_ZERO_EPS:
+        return numerator / denominator
+    return 1.0 if abs(numerator) <= _ZERO_EPS else None
 
 
 def theoretical_bound(eta: float, beta: float) -> float:
@@ -67,13 +56,7 @@ def correlation_gap(
     """
     worst = worst_case_lp(inst, tol=lp_tol).value
     indep = independent_expectation_exact(inst.function, inst.marginals)
-
-    if indep > _ZERO_EPS or indep < -_ZERO_EPS:
-        kappa, undefined = worst / indep, False
-    elif abs(worst) <= _ZERO_EPS:
-        kappa, undefined = 1.0, False
-    else:
-        kappa, undefined = None, True
+    kappa = safe_ratio(worst, indep)
 
     bound = None
     bound_satisfied = None
@@ -81,4 +64,4 @@ def correlation_gap(
         bound = theoretical_bound(eta if eta is not None else 1.0, beta if beta is not None else 1.0)
         bound_satisfied = None if kappa is None else kappa <= bound + BOUND_TOL
 
-    return GapReport(worst, indep, kappa, undefined, bound, bound_satisfied)
+    return GapReport(worst, indep, kappa, kappa is None, bound, bound_satisfied)

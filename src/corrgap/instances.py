@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, log
 from typing import Callable
 
@@ -149,7 +149,7 @@ class PoissonMaxResult:
     growth_reference: float | None  # log M / log log M, when defined
 
     def to_json(self) -> dict:
-        return {"expected_max": self.expected_max, "growth_reference": self.growth_reference}
+        return asdict(self)
 
 
 def poisson_max_expectation(m: int) -> PoissonMaxResult:
@@ -632,28 +632,9 @@ def property_facts(scale: int = 1) -> list[FactResult]:
     ]
 
 
-def verification_report(scale: int = 1, threads: int = 1) -> dict:
-    """The full reproduction suite as a JSON-ready report. Fact computations
-    are pure, so they may be sharded across threads; results keep list order."""
-    jobs: list[Callable[[], list[FactResult]]] = [
-        _threshold_facts,
-        _two_stage_flow_facts,
-        _coverage_partition_facts,
-        _welfare_gap_facts,
-        _poisson_facts,
-        _split_facts,
-        _scheme_facts,
-        _generator_facts,
-        lambda: property_facts(scale),
-    ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda job: job(), jobs))
-    else:
-        chunks = [job() for job in jobs]
-    facts = [fact for chunk in chunks for fact in chunk]
+def verification_report(scale: int = 1) -> dict:
+    """The full reproduction suite as a JSON-ready report."""
+    facts = reproduction_facts() + property_facts(scale)
     failed = [fact.name for fact in facts if not fact.passed]
     return {
         "facts": [fact.to_json() for fact in facts],

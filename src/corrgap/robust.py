@@ -9,6 +9,7 @@ from typing import Sequence
 
 from .core import Instance, SetFunction, ValidationError, function_from_json
 from .distributions import independent_expectation_exact
+from .gap import safe_ratio
 from .worst_case import supermodular_worst_case, worst_case_lp
 
 CLOSED_FORM_TOL = 1e-6
@@ -88,30 +89,6 @@ def evaluate_g(space: DecisionSpace, decision: Decision | int) -> float:
     return worst_case_lp(inst).value
 
 
-def _independent_value(space: DecisionSpace, decision: Decision) -> float:
-    return independent_expectation_exact(decision.function, space.marginals)
-
-
-def solve_robust(space: DecisionSpace) -> tuple[str, float]:
-    """argmin g(x) by exhaustive scan; ties broken by decision order."""
-    best = None
-    for d in space.decisions:
-        g = evaluate_g(space, d)
-        if best is None or g < best[1]:
-            best = (d.label, g)
-    return best
-
-
-def solve_independent(space: DecisionSpace) -> tuple[str, float]:
-    """argmin of the independent-distribution expected cost."""
-    best = None
-    for d in space.decisions:
-        v = _independent_value(space, d)
-        if best is None or v < best[1]:
-            best = (d.label, v)
-    return best
-
-
 @dataclass(frozen=True)
 class RobustSolveReport:
     x_robust: str
@@ -119,7 +96,7 @@ class RobustSolveReport:
     x_independent: str
     independent_value: float
     g_independent: float
-    ratio: float
+    ratio: float | None
     chain_ok: bool
 
     def to_json(self) -> dict:
@@ -135,10 +112,11 @@ class RobustSolveReport:
 
 
 def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
-    """Full report: both argmins, g at the independent decision, the ratio
-    g(x_I)/g(x_R), and a numeric check of g(x_R) >= E_I(x_R) >= E_I(x_I)."""
+    """Full report: both argmins (ties to the first decision), g at the
+    independent decision, the ratio g(x_I)/g(x_R), and a numeric check of
+    g(x_R) >= E_I(x_R) >= E_I(x_I)."""
     g_values = [evaluate_g(space, d) for d in space.decisions]
-    indep_values = [_independent_value(space, d) for d in space.decisions]
+    indep_values = [independent_expectation_exact(d.function, space.marginals) for d in space.decisions]
 
     robust_idx = min(range(len(g_values)), key=lambda k: (g_values[k], k))
     indep_idx = min(range(len(indep_values)), key=lambda k: (indep_values[k], k))
@@ -155,6 +133,6 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
         x_independent=space.decisions[indep_idx].label,
         independent_value=indep_values[indep_idx],
         g_independent=g_indep,
-        ratio=g_indep / g_robust,
+        ratio=safe_ratio(g_indep, g_robust),
         chain_ok=chain_ok,
     )

@@ -7,7 +7,7 @@ expectation, and the reduction of a worst-case distribution to disjoint
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ from .core import (
     ValidationError,
     is_monotone,
 )
-from .distributions import ScenarioDistribution, independent_expectation_exact
-from .worst_case import worst_case_lp
+from .distributions import ScenarioDistribution
+from .gap import correlation_gap
 
 MAX_SPLIT_VERIFY = 14  # property verification runs the LP twice on 2^{n'} columns
 
@@ -64,6 +64,9 @@ class SplitMap:
         return [j for j, o in enumerate(self.original_of) if o == i]
 
     def project(self, mask: int) -> int:
+        """Collapse a subset of copies to the original elements it touches."""
+        if not 0 <= mask < 1 << self.n_new:
+            raise ValidationError(f"mask {mask} out of range for split ground set")
         out = 0
         for j, orig in enumerate(self.original_of):
             if mask >> j & 1:
@@ -82,13 +85,6 @@ class SplitMap:
         return cls.build(data["counts"], data.get("labels"))
 
 
-def project(split_map: SplitMap, mask: int) -> int:
-    """Collapse a subset of copies to the original elements it touches."""
-    if not 0 <= mask < 1 << split_map.n_new:
-        raise ValidationError(f"mask {mask} out of range for split ground set")
-    return split_map.project(mask)
-
-
 class ProjectedFunction(SetFunction):
     """f'(S') = f(Pi(S')): the base oracle evaluated through the copy map.
     Evaluation stays lazy; the table materialises only when an exact engine
@@ -104,7 +100,6 @@ class ProjectedFunction(SetFunction):
         self.split_map = split_map
 
     def value(self, mask: int) -> float:
-        self._check_mask(mask)
         return self.base.value(self.split_map.project(mask))
 
     def _projected_masks(self, masks: np.ndarray) -> np.ndarray:
@@ -115,8 +110,7 @@ class ProjectedFunction(SetFunction):
         return out
 
     def _materialize(self) -> np.ndarray:
-        masks = np.arange(1 << self.n, dtype=np.int64)
-        return self.base.values_at(self._projected_masks(masks))
+        return self.values_at(np.arange(1 << self.n, dtype=np.int64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         return self.base.values_at(self._projected_masks(masks))
@@ -153,8 +147,8 @@ class SplitPropertiesReport:
     indep_before: float
     indep_after: float
     indep_non_increasing: bool
-    kappa_before: float
-    kappa_after: float
+    kappa_before: float | None
+    kappa_after: float | None
     kappa_non_decreasing: bool
 
     @property
@@ -167,19 +161,7 @@ class SplitPropertiesReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "monotone_preserved": self.monotone_preserved,
-            "worst_before": self.worst_before,
-            "worst_after": self.worst_after,
-            "worst_equal": self.worst_equal,
-            "indep_before": self.indep_before,
-            "indep_after": self.indep_after,
-            "indep_non_increasing": self.indep_non_increasing,
-            "kappa_before": self.kappa_before,
-            "kappa_after": self.kappa_after,
-            "kappa_non_decreasing": self.kappa_non_decreasing,
-            "all_passed": self.all_passed,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def verify_split_properties(
@@ -189,9 +171,10 @@ def verify_split_properties(
     indep_tol: float = 1e-9,
     kappa_tol: float = 1e-6,
 ) -> SplitPropertiesReport:
-    """Exact check, via the LP and enumeration on both sides, that splitting a
+    """Exact check, via correlation_gap on both sides, that splitting a
     monotone instance preserves monotonicity and the worst-case value and never
-    increases the independent expectation (hence never shrinks the gap)."""
+    increases the independent expectation (hence never shrinks the gap). An
+    undefined gap (L/0) compares equal only to another undefined gap."""
     if not is_monotone(inst.function):
         raise ValidationError("split property verification expects a monotone function")
     new_inst, _ = split_instance(inst, counts)
@@ -201,23 +184,23 @@ def verify_split_properties(
         )
 
     monotone_preserved = is_monotone(new_inst.function)
-    worst_before = worst_case_lp(inst).value
-    worst_after = worst_case_lp(new_inst).value
-    indep_before = independent_expectation_exact(inst.function, inst.marginals)
-    indep_after = independent_expectation_exact(new_inst.function, new_inst.marginals)
-    kappa_before = worst_before / indep_before if indep_before > 0 else float("nan")
-    kappa_after = worst_after / indep_after if indep_after > 0 else float("nan")
+    before = correlation_gap(inst)
+    after = correlation_gap(new_inst)
+    if before.kappa is None or after.kappa is None:
+        kappa_non_decreasing = before.kappa == after.kappa
+    else:
+        kappa_non_decreasing = after.kappa >= before.kappa - kappa_tol
     return SplitPropertiesReport(
         monotone_preserved=monotone_preserved,
-        worst_before=worst_before,
-        worst_after=worst_after,
-        worst_equal=abs(worst_before - worst_after) <= worst_tol,
-        indep_before=indep_before,
-        indep_after=indep_after,
-        indep_non_increasing=indep_after <= indep_before + indep_tol,
-        kappa_before=kappa_before,
-        kappa_after=kappa_after,
-        kappa_non_decreasing=kappa_after >= kappa_before - kappa_tol,
+        worst_before=before.worst_value,
+        worst_after=after.worst_value,
+        worst_equal=abs(before.worst_value - after.worst_value) <= worst_tol,
+        indep_before=before.independent_value,
+        indep_after=after.independent_value,
+        indep_non_increasing=after.independent_value <= before.independent_value + indep_tol,
+        kappa_before=before.kappa,
+        kappa_after=after.kappa,
+        kappa_non_decreasing=kappa_non_decreasing,
     )
 
 

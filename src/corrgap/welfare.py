@@ -5,16 +5,16 @@ each good independently and uniformly at random."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SetFunction, SizeCapError, ValidationError
+from .core import Instance, SetFunction, SizeCapError, ValidationError
 from .distributions import independent_expectation_exact
+from .gap import safe_ratio
 from .worst_case import worst_case_lp
-from .core import Instance
 
-ASSIGNMENT_CAP = 10**7  # cap on K^n
+DP_STEP_CAP = 3**14  # cap on the (k-1) * 3^n steps of the subset DP
 
 
 def welfare_ip_optimum(f: SetFunction, k: int) -> float:
@@ -22,8 +22,8 @@ def welfare_ip_optimum(f: SetFunction, k: int) -> float:
     one of k players (blocks may be empty). Exhaustive via subset DP."""
     if k < 1:
         raise ValidationError("need at least one player")
-    if k**f.n > ASSIGNMENT_CAP:
-        raise SizeCapError(f"{k}^{f.n} assignments exceed cap {ASSIGNMENT_CAP}")
+    if (k - 1) * 3**f.n > DP_STEP_CAP:
+        raise SizeCapError(f"({k}-1) * 3^{f.n} subset-DP steps exceed cap 3^14")
     values = f.values()
     best = values.copy()  # one player: the block is the whole ground subset
     for _ in range(k - 1):
@@ -62,17 +62,11 @@ class WelfareReport:
     opt_ip: float
     upper_bound: float
     rounding_value: float
-    ratio_rounding_over_opt: float
-    ratio_opt_over_upper: float
+    ratio_rounding_over_opt: float | None
+    ratio_opt_over_upper: float | None
 
     def to_json(self) -> dict:
-        return {
-            "opt_ip": self.opt_ip,
-            "upper_bound": self.upper_bound,
-            "rounding_value": self.rounding_value,
-            "ratio_rounding_over_opt": self.ratio_rounding_over_opt,
-            "ratio_opt_over_upper": self.ratio_opt_over_upper,
-        }
+        return asdict(self)
 
 
 def welfare_report(f: SetFunction, k: int) -> WelfareReport:
@@ -83,6 +77,6 @@ def welfare_report(f: SetFunction, k: int) -> WelfareReport:
         opt_ip=opt,
         upper_bound=upper,
         rounding_value=rounding,
-        ratio_rounding_over_opt=rounding / opt if opt else float("nan"),
-        ratio_opt_over_upper=opt / upper if upper else float("nan"),
+        ratio_rounding_over_opt=safe_ratio(rounding, opt),
+        ratio_opt_over_upper=safe_ratio(opt, upper),
     )

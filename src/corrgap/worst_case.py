@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_EXACT, Instance, SizeCapError, subset_sums
-from .distributions import ScenarioDistribution, expectation_under, marginals_of
+from .distributions import ScenarioDistribution
 
 LP_TOL = 1e-9          # pivot / reduced-cost tolerance
 CERT_TOL = 1e-6
@@ -221,11 +221,11 @@ def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CER
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
 
-    if np.max(np.abs(marginals_of(result.distribution) - p)) > tol:
+    if np.max(np.abs(result.distribution.marginals() - p)) > tol:
         return False
     if abs(sum(prob for _, prob in result.distribution.support) - 1.0) > tol:
         return False
-    if abs(expectation_under(result.distribution, inst.function) - result.value) > tol:
+    if abs(result.distribution.expectation(inst.function) - result.value) > tol:
         return False
 
     excess = subset_sums(lam)

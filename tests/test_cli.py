@@ -192,6 +192,14 @@ class TestOutputHandling:
         assert "kappa" in header.split(",")
         assert len(header.split(",")) == len(row.split(","))
 
+    def test_csv_gap_without_bound_has_empty_bound_cells(self, capsys):
+        code, out, _ = run_cli(capsys, "gap", "--builtin", "example3", "--n", "2", "--format", "csv")
+        assert code == 0
+        header, row = out.strip("\n").split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["bound"] == "" and cells["bound_satisfied"] == ""
+        assert float(cells["worst_value"]) == pytest.approx(1.0, abs=1e-9)
+
     def test_csv_flattens_nested_reports(self, capsys):
         code, out, _ = run_cli(
             capsys, "robust", "--builtin", "example1", "--n", "4", "--format", "csv"
@@ -227,16 +235,78 @@ class TestVerifyCommand:
         data = run_json(capsys, "verify", "--all")
         assert data["passed"] is True and data["failed"] == 0
 
-    def test_verify_respects_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORRGAP_THREADS", "3")
-        data = run_json(capsys, "verify")
-        assert data["passed"] is True
 
 
-    def test_verify_rejects_non_integer_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORRGAP_THREADS", "abc")
-        code, out, err = run_cli(capsys, "verify")
-        assert code == 2 and out == "" and "CORRGAP_THREADS" in err
+def _reject_constant(name):
+    raise ValueError(f"output holds the non-JSON constant {name}")
+
+
+def run_strict_json(capsys, tmp_path, payload, *argv):
+    """Run a command on `payload` written as an instance file; parse stdout
+    with NaN and Infinity refused."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+    assert code == 0, err
+    return json.loads(out, parse_constant=_reject_constant)
+
+
+ZERO_TABLE = {"type": "explicit", "n": 2, "values": [0, 0, 0, 0]}
+
+
+class TestNonFiniteFacilityInputs:
+    @pytest.mark.parametrize("command", ["worst-case", "gap"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"open_costs": [1.0], "distances": [[float("nan")], [1.0]]},
+            {"open_costs": [float("inf")], "distances": [[1.0], [1.0]]},
+            {"open_costs": [1.0], "distances": [[1.0], [1.0]], "base_cost": float("inf")},
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, command, fields):
+        path = tmp_path / "facility.json"
+        function = {"type": "facility_location", **fields}
+        path.write_text(json.dumps({"function": function, "marginals": [0.5, 0.5]}))
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert code == 2 and out == "" and "finite" in err
+
+
+class TestZeroDenominators:
+    """Every printed ratio follows gap's rule: 0/0 is 1.0, x/0 is null."""
+
+    def test_split_verify_all_zero_table(self, capsys, tmp_path):
+        data = run_strict_json(
+            capsys, tmp_path, {"function": ZERO_TABLE, "marginals": [0.5, 0.5]}, "split-verify"
+        )
+        assert data["kappa_before"] == 1.0 and data["kappa_after"] == 1.0
+        assert data["all_passed"] is True
+
+    def test_robust_zero_cost_decisions(self, capsys, tmp_path):
+        space = {
+            "marginals": [0.5, 0.5],
+            "decisions": [{"label": "a", "function": ZERO_TABLE}, {"label": "b", "function": ZERO_TABLE}],
+        }
+        data = run_strict_json(capsys, tmp_path, space, "robust")
+        assert data["ratio"] == 1.0 and data["x_R"] == "a"
+
+    def test_robust_zero_robust_cost_with_positive_independent_choice(self, capsys, tmp_path):
+        # E_I ties at 0, so x_I is the first decision, whose worst case is 1
+        wavy = {"type": "explicit", "n": 2, "values": [1, -1, -1, 1]}
+        space = {
+            "marginals": [0.5, 0.5],
+            "decisions": [{"label": "wavy", "function": wavy}, {"label": "zero", "function": ZERO_TABLE}],
+        }
+        data = run_strict_json(capsys, tmp_path, space, "robust")
+        assert data["x_I"] == "wavy" and data["x_R"] == "zero"
+        assert data["g_x_I"] == pytest.approx(1.0, abs=1e-9)
+        assert data["ratio"] is None
+
+    def test_welfare_all_zero_table(self, capsys, tmp_path):
+        data = run_strict_json(
+            capsys, tmp_path, {"function": ZERO_TABLE, "marginals": [0.5, 0.5]}, "welfare", "--k", "2"
+        )
+        assert data["ratio_rounding_over_opt"] == 1.0 and data["ratio_opt_over_upper"] == 1.0
 
 
 class TestConsoleEntry:

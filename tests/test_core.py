@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from corrgap.core import (
     CoverageMax,
     FacilityLocationCost,
-    GroundSet,
     Instance,
+    SetFunction,
     SizeCapError,
     TableFunction,
     TwoStageFlow,
     ValidationError,
-    evaluate,
     function_from_json,
     is_monotone,
     is_subadditive,
@@ -30,11 +29,11 @@ def cardinality_table(n, fn):
 class TestEvaluate:
     def test_coverage_max_example(self):
         f = CoverageMax(4, [[0, 1], [2, 3]])
-        assert evaluate(f, mask_of([0, 1, 2], 4)) == 2.0
+        assert f.value(mask_of([0, 1, 2], 4)) == 2.0
 
     def test_two_stage_flow_full_set(self):
         f = TwoStageFlow(4, 3)
-        assert evaluate(f, 0b1111) == 3 + 16 * 1
+        assert f.value(0b1111) == 3 + 16 * 1
 
     def test_two_stage_flow_build_cost_jump(self):
         assert TwoStageFlow(4, 4).value(0) == 6.0  # full capacity costs n + 2
@@ -42,17 +41,17 @@ class TestEvaluate:
 
     def test_explicit_table_empty_set(self):
         f = TableFunction([0.0, 2.0, 3.0, 5.0])
-        assert evaluate(f, 0) == 0.0
+        assert f.value(0) == 0.0
 
     def test_mask_out_of_range(self):
         f = TableFunction([0.0, 1.0])
         with pytest.raises(ValidationError):
-            evaluate(f, 2)
+            f.value(2)
 
     def test_repeat_calls_bit_exact(self):
         f = CoverageMax(6, [[0, 1, 2], [3, 4, 5]])
         for mask in (0, 5, 63):
-            assert evaluate(f, mask) == evaluate(f, mask)
+            assert f.value(mask) == f.value(mask)
 
     def test_values_matches_value_pointwise(self):
         f = TwoStageFlow(5, 2)
@@ -267,9 +266,9 @@ class TestJsonRoundTrips:
 class TestValidation:
     def test_ground_set_bounds(self):
         with pytest.raises(ValidationError):
-            GroundSet(0)
+            SetFunction(0)
         with pytest.raises(ValidationError):
-            GroundSet(25)
+            SetFunction(25)
 
     def test_bad_marginals(self):
         f = TableFunction([0.0, 1.0])

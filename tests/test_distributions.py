@@ -5,10 +5,8 @@ from corrgap.core import SizeCapError, TableFunction, TwoStageFlow, ValidationEr
 from corrgap.distributions import (
     ScenarioDistribution,
     _product_weights,
-    expectation_under,
     independent_expectation_exact,
     independent_expectation_mc,
-    marginals_of,
     product_distribution,
 )
 from corrgap.instances import random_monotone_instance
@@ -21,37 +19,37 @@ def threshold(n):
 class TestMarginals:
     def test_two_singletons(self):
         d = ScenarioDistribution(2, [(0b01, 0.5), (0b10, 0.5)])
-        assert np.allclose(marginals_of(d), [0.5, 0.5])
+        assert np.allclose(d.marginals(), [0.5, 0.5])
 
     def test_full_or_empty(self):
         d = ScenarioDistribution(4, [(0b1111, 0.5), (0, 0.5)])
-        assert np.allclose(marginals_of(d), [0.5] * 4)
+        assert np.allclose(d.marginals(), [0.5] * 4)
 
     def test_partition_blocks(self):
         k = 4
         blocks = [sum(1 << e for e in range(i * k, (i + 1) * k)) for i in range(k)]
         d = ScenarioDistribution(k * k, [(b, 1.0 / k) for b in blocks])
-        assert np.allclose(marginals_of(d), [1.0 / k] * (k * k))
+        assert np.allclose(d.marginals(), [1.0 / k] * (k * k))
 
 
 class TestExpectation:
     def test_normalisation(self):
         f = TableFunction([1.0] * 8)
         d = ScenarioDistribution(3, [(1, 0.25), (6, 0.75)])
-        assert expectation_under(d, f) == 1.0
+        assert d.expectation(f) == 1.0
 
     def test_singleton_worst_case_value(self):
         d = ScenarioDistribution(3, [(1, 1 / 3), (2, 1 / 3), (4, 1 / 3)])
-        assert abs(expectation_under(d, threshold(3)) - 1.0) <= 1e-12
+        assert abs(d.expectation(threshold(3)) - 1.0) <= 1e-12
 
     def test_two_stage_flow_half_half(self):
         d = ScenarioDistribution(4, [(0b1111, 0.5), (0, 0.5)])
-        assert expectation_under(d, TwoStageFlow(4, 3)) == 0.5 * 19 + 0.5 * 3
+        assert d.expectation(TwoStageFlow(4, 3)) == 0.5 * 19 + 0.5 * 3
 
     def test_ground_set_mismatch(self):
         d = ScenarioDistribution(3, [(0, 1.0)])
         with pytest.raises(ValidationError):
-            expectation_under(d, TableFunction([0.0, 1.0]))
+            d.expectation(TableFunction([0.0, 1.0]))
 
 
 class TestIndependentExact:
@@ -71,7 +69,7 @@ class TestIndependentExact:
         inst = random_monotone_instance(17, 6)
         exact = independent_expectation_exact(inst.function, inst.marginals)
         dist = product_distribution(6, inst.marginals)
-        assert abs(expectation_under(dist, inst.function) - exact) <= 1e-10
+        assert abs(dist.expectation(inst.function) - exact) <= 1e-10
 
     def test_monotone_in_marginals_for_monotone_f(self):
         for trial in range(5):

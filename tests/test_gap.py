@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgap.core import Instance, TableFunction, ValidationError
-from corrgap.gap import GAP_BOUND_CONSTANT, GapReport, correlation_gap, theoretical_bound
+from corrgap.gap import GAP_BOUND_CONSTANT, correlation_gap, theoretical_bound
 from corrgap.instances import (
     random_coverage_instance,
     threshold_instance,
@@ -98,15 +98,3 @@ class TestEmitters:
             "bound_satisfied",
         }
 
-    def test_csv_row_matches_header(self):
-        report = correlation_gap(threshold_instance(2))
-        header = GapReport.csv_header().split(",")
-        row = report.csv_row().split(",")
-        assert len(header) == len(row)
-        assert header[0] == "worst_value"
-        assert float(row[0]) == pytest.approx(report.worst_value)
-
-    def test_csv_empty_cell_for_missing_bound(self):
-        report = correlation_gap(threshold_instance(2))
-        cells = report.csv_row().split(",")
-        assert cells[-1] == "" and cells[-2] == ""

@@ -240,8 +240,3 @@ class TestReproductionSuite:
         b = verification_report()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["passed"] is True
-
-    def test_threaded_report_matches_serial(self):
-        serial = verification_report(threads=1)
-        threaded = verification_report(threads=4)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)

@@ -8,8 +8,6 @@ from corrgap.robust import (
     DecisionSpace,
     approximation_ratio,
     evaluate_g,
-    solve_independent,
-    solve_robust,
 )
 
 
@@ -30,10 +28,10 @@ class TestTwoStageFlowFamily:
 
     def test_argmins_and_ratio(self):
         space = two_stage_flow_space(4)
-        assert solve_independent(space) == ("3", pytest.approx(4.0, abs=1e-12))
-        label, value = solve_robust(space)
-        assert label == "4" and value == pytest.approx(6.0, abs=1e-6)
         report = approximation_ratio(space)
+        assert report.x_independent == "3"
+        assert report.independent_value == pytest.approx(4.0, abs=1e-12)
+        assert report.x_robust == "4" and report.g_robust == pytest.approx(6.0, abs=1e-6)
         assert report.ratio == pytest.approx(11 / 6, abs=1e-9)
         assert report.chain_ok
 
@@ -69,8 +67,8 @@ class TestDecisionSpace:
 
     def test_single_decision(self):
         space = DecisionSpace([0.5], [Decision("only", TableFunction([0.0, 1.0]))])
-        assert solve_robust(space)[0] == "only"
-        assert solve_independent(space)[0] == "only"
+        report = approximation_ratio(space)
+        assert report.x_robust == "only" and report.x_independent == "only"
 
     def test_identical_decisions_ratio_one(self):
         space = constant_space()

@@ -8,7 +8,6 @@ from corrgap.distributions import ScenarioDistribution
 from corrgap.instances import random_monotone_instance, threshold_instance
 from corrgap.split import (
     SplitMap,
-    project,
     reduce_to_partition,
     split_instance,
     verify_split_properties,
@@ -26,14 +25,14 @@ class TestSplitMap:
 
     def test_projection_examples(self):
         m = SplitMap.build([2, 2])
-        assert project(m, 0) == 0
-        assert project(m, 0b1111) == 0b11
-        assert project(m, 0b0011) == 0b01  # two copies of element 0 collapse
+        assert m.project(0) == 0
+        assert m.project(0b1111) == 0b11
+        assert m.project(0b0011) == 0b01  # two copies of element 0 collapse
 
     def test_projection_mask_range(self):
         m = SplitMap.build([2, 1])
         with pytest.raises(ValidationError):
-            project(m, 1 << 3)
+            m.project(1 << 3)
 
     @given(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1))
     @settings(max_examples=200)

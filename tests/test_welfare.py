@@ -72,9 +72,10 @@ class TestExactOptimum:
         assert welfare_ip_optimum(f, k) == pytest.approx(best, abs=1e-12)
 
     def test_caps(self):
-        f = TableFunction([0.0] * (1 << 10))
+        # the cap bounds the (k-1) * 3^n steps of the subset DP, not k^n
         with pytest.raises(SizeCapError):
-            welfare_ip_optimum(f, 6)  # 6^10 assignments exceed the 1e7 cap
+            welfare_ip_optimum(TableFunction([0.0] * (1 << 16)), 2)  # 3^16 steps
+        assert welfare_ip_optimum(TableFunction([0.0] * (1 << 10)), 6) == 0.0  # 5 * 3^10
 
 
 class TestSandwich:

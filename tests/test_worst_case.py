@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from corrgap.core import Instance, SizeCapError, TableFunction, TwoStageFlow
-from corrgap.distributions import independent_expectation_exact, marginals_of
+from corrgap.distributions import independent_expectation_exact
 from corrgap.instances import (
     coverage_partition_instance,
     random_coverage_instance,
@@ -73,13 +73,13 @@ class TestWorstCaseLP:
         for trial in range(20):
             inst = random_monotone_instance(500 + trial, 6)
             result = worst_case_lp(inst)
-            assert np.max(np.abs(marginals_of(result.distribution) - np.array(inst.marginals))) <= 1e-7
+            assert np.max(np.abs(result.distribution.marginals() - np.array(inst.marginals))) <= 1e-7
 
     def test_degenerate_marginals(self):
         inst = Instance(TwoStageFlow(3, 1), [1.0, 0.0, 0.5])
         result = worst_case_lp(inst)
         assert verify_certificate(inst, result)
-        assert np.allclose(marginals_of(result.distribution), [1.0, 0.0, 0.5], atol=1e-9)
+        assert np.allclose(result.distribution.marginals(), [1.0, 0.0, 0.5], atol=1e-9)
         point = worst_case_lp(Instance(TwoStageFlow(3, 1), [1.0, 1.0, 1.0]))
         assert abs(point.value - TwoStageFlow(3, 1).value(7)) <= 1e-9
 
