@@ -282,6 +282,15 @@ class TestZeroDenominators:
         assert data["kappa_before"] == 1.0 and data["kappa_after"] == 1.0
         assert data["all_passed"] is True
 
+    def test_split_verify_zero_independent_value(self, capsys, tmp_path):
+        # monotone, I = 0 and L = 1 before the split: kappa_before is x/0
+        table = {"type": "explicit", "n": 2, "values": [-3, 1, 1, 1]}
+        data = run_strict_json(
+            capsys, tmp_path, {"function": table, "marginals": [0.5, 0.5]}, "split-verify"
+        )
+        assert data["kappa_before"] is None and data["kappa_after"] is not None
+        assert data["kappa_non_decreasing"] is False
+
     def test_robust_zero_cost_decisions(self, capsys, tmp_path):
         space = {
             "marginals": [0.5, 0.5],
