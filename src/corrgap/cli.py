@@ -97,13 +97,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json_file(path: str) -> dict:
+    # Imported here: orjson pulls in uuid and zoneinfo, which only file reads should pay for.
+    import orjson
+
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            return orjson.loads(handle.read())
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from None
+    except orjson.JSONDecodeError as exc:
+        raise ValidationError(
+            f"malformed JSON in {path} (strict UTF-8 JSON; numbers must be finite): {exc}"
+        ) from None
 
 
 def _load_source(args) -> object:
@@ -116,8 +121,11 @@ def _load_source(args) -> object:
             value = getattr(args, key, None)
             if value is None:
                 continue
-            if key == "seed" and builtin is not None and "seed" not in builtin.defaults:
-                continue  # --seed then belongs to Monte Carlo, not the builtin
+            if builtin is not None and key not in builtin.defaults:
+                if key == "seed":
+                    continue  # --seed then belongs to Monte Carlo, not the builtin
+                if key == "k" and args.command == "welfare":
+                    continue  # --k then is the player count
             overrides[key] = value
         return build_builtin(args.builtin, **overrides)
     data = _load_json_file(args.instance)

@@ -50,6 +50,16 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
 
+def block_max_counts(masks: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
+    """max over blocks of |mask & block| for each mask, as uint8: one uint64
+    temporary per block and no int64 count arrays."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    best = np.bitwise_count(masks & np.uint64(blocks[0]))
+    for bm in blocks[1:]:
+        np.maximum(best, np.bitwise_count(masks & np.uint64(bm)), out=best)
+    return best
+
+
 def subset_sums(weights: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
     """lambda(S) = sum of weights[i] over i in S, for every mask S of
     len(weights) bits, by doubling: once bits below i are done,
@@ -180,9 +190,7 @@ class CoverageMax(SetFunction):
         return self.values_at(np.arange(1 << self.n, dtype=np.uint64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
-        arr = masks.astype(np.uint64)
-        per_block = [popcounts(arr & np.uint64(bm)) for bm in self.blocks]
-        return np.maximum.reduce(per_block).astype(np.float64)
+        return block_max_counts(masks, self.blocks).astype(np.float64)
 
     def to_json(self) -> dict:
         return {

@@ -131,14 +131,15 @@ def independent_expectation_mc(
     if samples < 1:
         raise ValidationError("need at least one sample")
     n = f.n
-    powers = (1 << np.arange(n, dtype=np.int64)).astype(np.int64)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         chunk = min(_MC_CHUNK, samples - done)
         u = counter_uniforms(seed, done * n, chunk * n).reshape(chunk, n)
-        masks = ((u < p).astype(np.int64) * powers).sum(axis=1)
+        masks = np.zeros(chunk, dtype=np.int64)
+        for i in range(n):
+            masks |= (u[:, i] < p[i]).astype(np.int64) << i
         vals = f.values_at(masks)
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))

@@ -19,6 +19,7 @@ from .core import (
     TableFunction,
     TwoStageFlow,
     ValidationError,
+    block_max_counts,
     elements_of,
     is_monotone,
     is_submodular,
@@ -92,8 +93,7 @@ def coverage_two_stage_space(k: int = 3, epsilon: float = 0.1) -> DecisionSpace:
         residual_blocks = [
             sum(1 << e for e in range(i * k + m, (i + 1) * k)) for i in range(k)
         ]
-        hit = [popcounts(masks & np.uint64(bm)) for bm in residual_blocks]
-        table = m * price + np.maximum.reduce(hit).astype(np.float64)
+        table = m * price + block_max_counts(masks, residual_blocks).astype(np.float64)
         decisions.append(Decision(str(m), TableFunction(table)))
     return DecisionSpace(base.marginals, decisions)
 

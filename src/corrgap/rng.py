@@ -32,12 +32,23 @@ def counter_value(seed: int, index: int) -> int:
 
 def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorised uniforms in [0, 1) for counter positions start..start+count-1."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    # In place: one state buffer z, one shift buffer that ends up holding the output.
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_MULT1)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_MULT2)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    z >>= np.uint64(11)
+    out = shifted.view(np.float64)
+    np.multiply(z, 2.0**-53, out=out)
+    return out
 
 
 class SplitMix64:

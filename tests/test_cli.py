@@ -1,10 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from corrgap.cli import main
+from corrgap.cli import _load_source, main
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +95,76 @@ class TestGapCommand:
         assert abs(mc["estimate"] - a["independent_value"]) <= 4 * mc["stderr"] + 1e-12
 
 
+class TestInstanceFileParsing:
+    """Instance files are strict UTF-8 RFC 8259 JSON; anything else exits 2."""
+
+    GOOD = b'{"function": {"type": "explicit", "n": 1, "values": [0, 1]}, "marginals": [0.5]}'
+
+    def run_bytes(self, capsys, tmp_path, raw):
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        return run_cli(capsys, "gap", "--instance", str(path))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            GOOD.replace(b'"marginals"', b'"note": "\xff", "marginals"'),
+            b"[" * 100_000 + b"]" * 100_000,
+            GOOD.replace(b"[0, 1]", b"[0, " + b"[" * 100_000 + b"]" * 100_000 + b"]"),
+            b"\xef\xbb\xbf" + GOOD,
+            GOOD + b" trailing",
+        ],
+        ids=["invalid-utf8", "deep-nesting", "deep-nesting-in-table", "bom", "trailing-garbage"],
+    )
+    def test_bad_file_exits_2(self, capsys, tmp_path, raw):
+        code, out, err = self.run_bytes(capsys, tmp_path, raw)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "number",
+        [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"1" + b"0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "401-digit-int"],
+    )
+    def test_non_finite_number_is_malformed(self, capsys, tmp_path, number):
+        raw = self.GOOD.replace(b"[0, 1]", b"[0, " + number + b"]")
+        code, out, err = self.run_bytes(capsys, tmp_path, raw)
+        assert code == 2 and out == ""
+        assert "malformed JSON" in err and "numbers must be finite" in err
+
+    def test_good_file_still_loads(self, capsys, tmp_path):
+        code, out, err = self.run_bytes(capsys, tmp_path, self.GOOD)
+        assert code == 0, err
+        assert json.loads(out)["kappa"] == pytest.approx(1.0)
+
+    def test_tables_and_marginals_parse_bit_identical_to_json(self, tmp_path):
+        rng = np.random.default_rng(20260)
+        n = 16
+        bits = rng.integers(0, 2**64, size=1 << n, dtype=np.uint64)
+        values = bits.view(np.float64).copy()
+        values[~np.isfinite(values)] = 1.5
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]  # zeros, subnormals
+        special += [1.7976931348623157e308, -1.7976931348623157e308]  # largest finite
+        values[: len(special)] = special
+        table = values.tolist()
+        for j in range(len(special), len(table), 97):  # integer-valued entries, written as JSON ints
+            table[j] = int(rng.integers(-(2**62), 2**62)) >> int(rng.integers(0, 62))
+        table[-1] = 10**30
+        marginals = (bits[:n] >> np.uint64(11)) * 2.0**-53
+        marginals = [0.0, 1.0, 5e-324, -0.0] + marginals[4:].tolist()
+        text = json.dumps({"function": {"type": "explicit", "n": n, "values": table}, "marginals": marginals})
+        path = tmp_path / "table.json"
+        path.write_text(text)
+
+        inst = _load_source(argparse.Namespace(instance=str(path), builtin=None, command="gap"))
+        want = json.loads(text)
+        got_values = inst.function.values()
+        want_values = np.array(want["function"]["values"], dtype=np.float64)
+        assert np.array_equal(got_values.view(np.int64), want_values.view(np.int64))
+        got_p = np.array(inst.marginals, dtype=np.float64)
+        want_p = np.array(want["marginals"], dtype=np.float64)
+        assert np.array_equal(got_p.view(np.int64), want_p.view(np.int64))
+
+
 class TestOtherCommands:
     def test_worst_case_shape(self, capsys):
         data = run_json(capsys, "worst-case", "--builtin", "example3", "--n", "3")
@@ -130,6 +202,15 @@ class TestOtherCommands:
     def test_welfare_instance_needs_players(self, capsys):
         code, _, _ = run_cli(capsys, "welfare", "--builtin", "example3", "--n", "3")
         assert code == 2
+
+    def test_welfare_k_is_player_count_for_builtins_without_k(self, capsys):
+        data = run_json(capsys, "welfare", "--builtin", "example3", "--n", "4", "--k", "2")
+        assert data["opt_ip"] == pytest.approx(2.0, abs=1e-9)
+        assert data["ratio_opt_over_upper"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_k_still_refused_by_builtins_without_k_outside_welfare(self, capsys):
+        code, out, err = run_cli(capsys, "gap", "--builtin", "example3", "--k", "2")
+        assert code == 2 and out == "" and "does not take parameter 'k'" in err
 
     def test_welfare_from_file_with_players(self, capsys, tmp_path):
         from corrgap.instances import welfare_gap_case

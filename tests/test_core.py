@@ -57,6 +57,14 @@ class TestEvaluate:
         f = TwoStageFlow(5, 2)
         assert np.array_equal(f.values(), [f.value(m) for m in range(32)])
 
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [(9, [[0, 4], [1, 2, 3], [5, 6, 7, 8]]), (16, [list(range(i, 16, 4)) for i in range(4)])],
+    )
+    def test_coverage_max_values_match_value_pointwise(self, n, blocks):
+        f = CoverageMax(n, blocks)
+        assert np.array_equal(f.values(), [f.value(m) for m in range(1 << n)])
+
     def test_values_cached_and_readonly(self):
         f = TableFunction([0.0, 1.0, 1.0, 2.0])
         v = f.values()
@@ -221,6 +229,16 @@ class TestFacilityLocation:
             FacilityLocationCost([1.0] * 13, [[0.0] * 13])
         with pytest.raises(ValidationError):
             FacilityLocationCost([1.0], [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        # instance files cannot carry these (the JSON loader refuses them); library callers can
+        with pytest.raises(ValidationError, match="finite"):
+            FacilityLocationCost([1.0], [[bad], [1.0]])
+        with pytest.raises(ValidationError, match="finite"):
+            FacilityLocationCost([bad], [[1.0], [1.0]])
+        with pytest.raises(ValidationError, match="finite"):
+            FacilityLocationCost([1.0], [[1.0], [1.0]], base_cost=bad)
 
 
 class TestJsonRoundTrips:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from corrgap.core import SizeCapError, TableFunction, TwoStageFlow, ValidationError
+from corrgap.core import CoverageMax, SizeCapError, TableFunction, TwoStageFlow, ValidationError
 from corrgap.distributions import (
+    _MC_CHUNK,
     ScenarioDistribution,
     _product_weights,
     independent_expectation_exact,
@@ -10,6 +11,7 @@ from corrgap.distributions import (
     product_distribution,
 )
 from corrgap.instances import random_monotone_instance
+from corrgap.rng import SplitMix64
 
 
 def threshold(n):
@@ -94,8 +96,6 @@ class TestIndependentExact:
         assert _product_weights(n, p).tobytes() == reference.tobytes()
 
     def test_size_cap(self):
-        from corrgap.core import CoverageMax
-
         with pytest.raises(SizeCapError):
             independent_expectation_exact(CoverageMax(17, [list(range(17))]), [0.5] * 17)
 
@@ -139,6 +139,21 @@ class TestMonteCarlo:
         b = independent_expectation_mc(f, [0.5] * 6, 5000, seed=77)
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
+    @pytest.mark.parametrize("samples", [3000, _MC_CHUNK + 500])
+    def test_matches_sequential_draws(self, samples):
+        # sample j includes element i when draw j*n+i of the seed's stream is below p_i
+        f = CoverageMax(3, [[0, 2], [1]])
+        p = [0.2, 0.5, 0.9]
+        rng = SplitMix64(2024)
+        vals = []
+        for _ in range(samples):
+            mask = sum(1 << i for i in range(3) if rng.random() < p[i])
+            vals.append(f.value(mask))
+        vals = np.array(vals)
+        total = sum(float(vals[a : a + _MC_CHUNK].sum()) for a in range(0, samples, _MC_CHUNK))
+        mc = independent_expectation_mc(f, p, samples, seed=2024)
+        assert mc.estimate == total / samples
+
     def test_within_four_sigma_of_exact(self):
         inst = random_monotone_instance(55, 8)
         exact = independent_expectation_exact(inst.function, inst.marginals)
@@ -165,8 +180,6 @@ class TestMonteCarlo:
         assert abs(mc.estimate - exact) <= 4 * mc.stderr + 1e-9
 
     def test_vectorised_large_n_paths_match_single_evaluation(self):
-        from corrgap.core import CoverageMax
-
         n = 20
         functions = [
             CoverageMax(n, [list(range(10)), list(range(10, 20))]),
