@@ -10,12 +10,13 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
 
 from .core import Instance, SizeCapError, ValidationError, function_from_json
-from .cost_sharing import certify, incremental_scheme
+from .cost_sharing import SHARE_TOL, certify, incremental_scheme
 from .distributions import independent_expectation_mc
 from .gap import correlation_gap
 from .instances import REGISTRY, WelfareCase, build_builtin, verification_report
@@ -43,7 +44,10 @@ def _add_output_args(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first `main` call and reused by every
+    later call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="corrgap",
         description="worst-case-over-correlations expectations, gaps, and verifications",
@@ -85,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cert = subs.add_parser("certify-scheme", help="certify the incremental scheme on an instance")
     _add_source_args(cert)
     _add_output_args(cert)
-    cert.add_argument("--tol-check", type=float, default=1e-9)
+    cert.add_argument("--tol-check", type=float, default=SHARE_TOL)
 
     verify = subs.add_parser("verify", help="run the full reproduction suite")
     verify.add_argument("--all", action="store_true", help="run everything (the default)")
@@ -134,8 +138,11 @@ def _load_source(args) -> object:
     if "decisions" in data:
         return DecisionSpace.from_json(data)
     if "players" in data:
+        players = data["players"]
+        if type(players) is not int or players < 1:
+            raise ValidationError(f"welfare JSON players must be an integer >= 1, got {players!r}")
         try:
-            return WelfareCase(function_from_json(data["function"]), int(data["players"]))
+            return WelfareCase(function_from_json(data["function"]), players)
         except KeyError as exc:
             raise ValidationError(f"welfare JSON missing field: {exc}") from None
     return Instance.from_json(data)

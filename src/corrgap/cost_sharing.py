@@ -2,14 +2,25 @@
 a set function, exhaustive certification of budget balance, cross-monotonicity
 and weak summability constants, and the lift of a scheme through a split map
 (the first-appearing copy of an element carries its whole share).
+
+A scheme answers one share at a time (`share`) and, through `shares`, a
+whole batch of orderings at once: an (m, k) array of orderings gives the
+(m, k) shares of their elements. The batch oracle defaults to a loop over
+`share`; `incremental_scheme` computes it from one table of f by prefix-mask
+gathers. `certify` asks for one batch per set size, covering every ordering
+of every subset, and checks cross-monotonicity by gathering the shares of
+each restriction from the smaller sizes' batches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable
+
+import numpy as np
 
 from .core import SetFunction, SizeCapError, ValidationError, elements_of
 from .split import SplitMap
@@ -50,12 +61,28 @@ class OrderedSet:
 
 @dataclass(frozen=True)
 class CostShareScheme:
-    """Share oracle chi(i, ordered set containing i) with declared constants."""
+    """Share oracle chi(i, ordered set containing i) with declared constants.
+
+    `batch`, when given, answers `shares` without calling `share`; it must
+    return exactly what `share` would, element by element."""
 
     share: Callable[[int, OrderedSet], float]
     declared_eta: float = 1.0
     declared_beta: float = 1.0
     label: str = ""
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def shares(self, orders: np.ndarray) -> np.ndarray:
+        """Float64 (m, k) shares for an (m, k) int array whose rows are
+        orderings of distinct elements: out[r, p] = share(orders[r, p], row r)."""
+        if self.batch is not None:
+            return self.batch(orders)
+        out = np.empty(orders.shape)
+        for r, order in enumerate(orders.tolist()):
+            oset = OrderedSet.from_order(order)
+            for p, i in enumerate(order):
+                out[r, p] = self.share(i, oset)
+        return out
 
 
 def incremental_scheme(f: SetFunction) -> CostShareScheme:
@@ -71,7 +98,18 @@ def incremental_scheme(f: SetFunction) -> CostShareScheme:
             prefix |= 1 << j
         raise ValidationError(f"element {i} not in the ordered set")
 
-    return CostShareScheme(share, 1.0, 1.0, "incremental")
+    @functools.cache
+    def table() -> np.ndarray:
+        return np.array([f.value(m) for m in range(1 << f.n)], dtype=np.float64)
+
+    def batch(orders: np.ndarray) -> np.ndarray:
+        after = np.bitwise_or.accumulate(1 << orders, axis=1)
+        before = np.zeros_like(after)
+        before[:, 1:] = after[:, :-1]
+        values = table()
+        return values[after] - values[before]
+
+    return CostShareScheme(share, 1.0, 1.0, "incremental", batch)
 
 
 @dataclass(frozen=True)
@@ -109,73 +147,100 @@ def _guard_certify(n: int):
         raise SizeCapError(f"certification enumerates all orderings; needs n <= {CERTIFY_CAP}")
 
 
+@functools.cache
+def _enumeration(n: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, list[tuple]]:
+    """Every ordering of every nonempty subset of {0..n-1}, grouped by set
+    size k into one read-only (orders, parents) pair per k: each row extends
+    row parents[r] of size k-1 by one element (size 0 is a single empty row).
+    Then the mask each row orders, all sizes concatenated. Last, for each k
+    and each restriction size j < k, the (C(k, j), j) array of increasing
+    position patterns and the (rows_k, C(k, j)) size-j rows of each
+    ordering's restriction to those positions. Depends on n only."""
+    levels, level_masks = [], []
+    orders = np.zeros((1, 0), dtype=np.intp)
+    masks = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        parents, elems = np.divmod(np.arange(len(orders) * n), n)
+        keep = (masks[parents] >> elems & 1) == 0
+        parents, elems = parents[keep], elems[keep]
+        orders = np.column_stack((orders[parents], elems))
+        masks = masks[parents] | 1 << elems
+        for arr in (orders, parents):
+            arr.flags.writeable = False
+        levels.append((orders, parents))
+        level_masks.append(masks)
+    all_masks = np.concatenate(level_masks)
+    all_masks.flags.writeable = False
+    radix = n ** np.arange(n)
+    restrictions = []
+    for j in range(1, n):
+        row_of = np.empty(n**j, dtype=np.intp)
+        row_of[levels[j - 1][0] @ radix[:j]] = np.arange(len(levels[j - 1][0]))
+        for k in range(j + 1, n + 1):
+            cols = np.array(list(combinations(range(k), j)), dtype=np.intp)
+            restrictions.append((k, j, cols, row_of[levels[k - 1][0][:, cols] @ radix[:j]]))
+    return levels, all_masks, restrictions
+
+
+def _max_fold(acc: float, candidates: np.ndarray) -> float:
+    """max(acc, c) folded over the candidates the way Python's max folds:
+    a candidate wins only when strictly greater, so NaN never does."""
+    greater = candidates[candidates > acc]
+    return float(greater.max()) if greater.size else acc
+
+
 def certify(scheme: CostShareScheme, f: SetFunction, tol: float = SHARE_TOL) -> CertificationResult:
     """Smallest budget-balance and weak-summability constants of the scheme on
-    f, plus exhaustive cross-monotonicity, over all subsets and orderings."""
+    f, plus exhaustive cross-monotonicity, over all subsets and orderings.
+
+    One `scheme.shares` batch per set size k covers all C(n, k)·k! orderings.
+    Totals and prefix totals add shares in ordering position order, one
+    column at a time; cross-monotonicity compares each ordering's shares with
+    those of its restrictions, one batch per pair of set sizes."""
     _guard_certify(f.n)
     n = f.n
-    full = (1 << n) - 1
-    values = [f.value(m) for m in range(1 << n)]
+    levels, masks, restrictions = _enumeration(n)
+    values = np.array([f.value(m) for m in range(1 << n)], dtype=np.float64)
 
-    share_cache: dict[tuple[int, tuple[int, ...]], float] = {}
+    shares, totals, prefix_totals = [], [], []
+    prefix_total = np.zeros(1)
+    # Python floats overflow to inf and NaN silently; so do these arrays.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for orders, parents in levels:
+            batch = scheme.shares(orders)
+            total = np.zeros(len(orders))
+            for column in batch.T:
+                total += column
+            prefix_total = prefix_total[parents] + batch[:, -1]
+            shares.append(batch)
+            totals.append(total)
+            prefix_totals.append(prefix_total)
+        total = np.concatenate(totals)
+        prefix_total = np.concatenate(prefix_totals)
+        f_s = values[masks]
+        chain = slice(-len(prefix_totals[-1]), None)  # orderings of the full set
 
-    def cached_share(i: int, order: tuple[int, ...]) -> float:
-        key = (i, order)
-        got = share_cache.get(key)
-        if got is None:
-            got = share_cache[key] = scheme.share(i, OrderedSet.from_order(order))
-        return got
+        charged = f_s > tol
+        budget_upper_ok = not (total > f_s + tol).any()
+        beta_unbounded = (
+            not budget_upper_ok
+            or (charged & (total <= tol)).any()
+            or (~charged & (np.abs(total) > tol)).any()
+        )
+        paying = charged & ~(total <= tol)
+        beta_star = _max_fold(1.0, f_s[paying] / total[paying])
+        ratio = np.where(charged, prefix_total / f_s, -np.inf)
+        free_prefix = ~charged & (prefix_total > tol)
+    eta_star = math.inf if free_prefix.any() else _max_fold(0.0, ratio)
+    eta_chain = math.inf if free_prefix[chain].any() else _max_fold(0.0, ratio[chain])
 
-    eta_star = 0.0
-    eta_chain = 0.0
-    beta_star = 1.0
-    budget_upper_ok = True
-
-    for s in range(1, 1 << n):
-        f_s = values[s]
-        members = elements_of(s)
-        for order in permutations(members):
-            total = 0.0
-            prefix_total = 0.0
-            for j in range(len(order)):
-                total += cached_share(order[j], order)
-                prefix_total += cached_share(order[j], order[: j + 1])
-            if total > f_s + tol:
-                budget_upper_ok = False
-                beta_star = math.inf
-            if f_s > tol:
-                beta_star = math.inf if total <= tol else max(beta_star, f_s / total)
-                ratio = prefix_total / f_s
-                eta_star = max(eta_star, ratio)
-                if s == full:
-                    eta_chain = max(eta_chain, ratio)
-            else:
-                if abs(total) > tol:
-                    beta_star = math.inf
-                if prefix_total > tol:
-                    eta_star = math.inf
-                    if s == full:
-                        eta_chain = math.inf
-
-    cross = True
-    for t in range(1, 1 << n):
-        t_members = elements_of(t)
-        for t_order in permutations(t_members):
-            shares_t = {i: cached_share(i, t_order) for i in t_members}
-            sub = (t - 1) & t
-            while sub and cross:
-                s_order = tuple(i for i in t_order if sub >> i & 1)
-                for i in s_order:
-                    if cached_share(i, s_order) < shares_t[i] - tol:
-                        cross = False
-                        break
-                sub = (sub - 1) & t
-            if not cross:
-                break
-        if not cross:
-            break
-
-    return CertificationResult(eta_star, beta_star, cross, eta_chain, budget_upper_ok)
+    cross = not any(
+        (shares[j - 1][rows] < shares[k - 1][:, cols] - tol).any()
+        for k, j, cols, rows in restrictions
+    )
+    return CertificationResult(
+        eta_star, math.inf if beta_unbounded else beta_star, cross, eta_chain, budget_upper_ok
+    )
 
 
 def lift_scheme(scheme: CostShareScheme, split_map: SplitMap) -> CostShareScheme:

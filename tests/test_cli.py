@@ -1,12 +1,13 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from corrgap.cli import _load_source, main
+from corrgap.cli import _build_parser, _load_source, main
 
 
 def run_cli(capsys, *argv):
@@ -397,6 +398,77 @@ class TestZeroDenominators:
             capsys, tmp_path, {"function": ZERO_TABLE, "marginals": [0.5, 0.5]}, "welfare", "--k", "2"
         )
         assert data["ratio_rounding_over_opt"] == 1.0 and data["ratio_opt_over_upper"] == 1.0
+
+
+class TestWelfarePlayersField:
+    def write_case(self, tmp_path, players):
+        path = tmp_path / "case.json"
+        path.write_text(
+            json.dumps({"function": {"type": "explicit", "values": [0, 1, 1, 1]}, "players": players})
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("players", [0, -1, [1], "abc", 2.7, 2.0, True, None], ids=repr)
+    @pytest.mark.parametrize(
+        "command", ["gap", "worst-case", "robust", "welfare", "split-verify", "certify-scheme"]
+    )
+    def test_players_not_a_positive_integer_exits_2(self, capsys, tmp_path, command, players):
+        code, out, err = run_cli(capsys, command, "--instance", self.write_case(tmp_path, players))
+        assert code == 2 and out == "" and "players" in err
+
+    def test_positive_integer_players_sets_marginals(self, capsys, tmp_path):
+        data = run_json(capsys, "gap", "--instance", self.write_case(tmp_path, 2))
+        assert data["independent_value"] == pytest.approx(0.75, abs=1e-12)
+
+
+class TestParserReuse:
+    GOOD = ["gap", "--builtin", "example3", "--n", "3"]
+
+    def fresh_process(self, *argv, **env):
+        return subprocess.run(
+            [sys.executable, "-m", "corrgap.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **env},
+        )
+
+    def test_import_builds_no_parser(self):
+        probe = "import corrgap.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_many_calls_build_one_parser(self, capsys):
+        _build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["list-instances"]) == 0
+            assert main(self.GOOD) == 0
+            assert main(["certify-scheme", "--builtin", "example3", "--n", "3"]) == 0
+        capsys.readouterr()
+        assert _build_parser.cache_info().misses == 1
+
+    def test_bad_argv_then_good_call_matches_fresh_process(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--n", "x"])
+        assert exc.value.code == 2
+        assert main(self.GOOD) == 0
+        fresh = self.fresh_process(*self.GOOD)
+        assert fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+    def test_help_after_other_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        assert main(self.GOOD) == 0
+        with pytest.raises(SystemExit):
+            main(["gap", "--n", "x"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        fresh = self.fresh_process("--help", COLUMNS="100")
+        assert fresh.returncode == 0
+        assert out == fresh.stdout and "certify-scheme" in out
 
 
 class TestConsoleEntry:

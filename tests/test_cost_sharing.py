@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from corrgap.core import SizeCapError, TableFunction, ValidationError
+from corrgap.core import Instance, SizeCapError, TableFunction, ValidationError
 from corrgap.cost_sharing import (
+    CertificationResult,
     CostShareScheme,
     OrderedSet,
     certify,
@@ -217,21 +221,30 @@ class TestLiftedScheme:
         assert not partial_prefix_cross_monotone(lifted, split_map)
 
 
+def _sequential_sum(terms):
+    # Left to right from 0.0, as certify adds; Python 3.12's sum() compensates.
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def reference_certify(scheme, f, tol=1e-9):
     """From-scratch reference for certify: no caching, orderings enumerated
     through OrderedSet objects, constants accumulated in explicit lists."""
     import itertools
 
     n = f.n
-    beta_ratios, eta_ratios = [1.0], [0.0]
+    beta_ratios, eta_ratios, chain_ratios = [1.0], [0.0], [0.0]
     upper_ok = True
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         f_s = f.value(mask)
+        full = mask == (1 << n) - 1
         for order in itertools.permutations(members):
             oset = OrderedSet.from_order(order)
-            total = sum(scheme.share(i, oset) for i in order)
-            prefix = sum(
+            total = _sequential_sum(scheme.share(i, oset) for i in order)
+            prefix = _sequential_sum(
                 scheme.share(order[j], OrderedSet.from_order(order[: j + 1]))
                 for j in range(len(order))
             )
@@ -240,11 +253,15 @@ def reference_certify(scheme, f, tol=1e-9):
             if f_s > tol:
                 beta_ratios.append(f_s / total if total > tol else math.inf)
                 eta_ratios.append(prefix / f_s)
+                if full:
+                    chain_ratios.append(prefix / f_s)
             else:
                 if abs(total) > tol:
                     beta_ratios.append(math.inf)
                 if prefix > tol:
                     eta_ratios.append(math.inf)
+                    if full:
+                        chain_ratios.append(math.inf)
     cross = True
     for t_mask in range(1, 1 << n):
         t_members = [i for i in range(n) if t_mask >> i & 1]
@@ -260,31 +277,110 @@ def reference_certify(scheme, f, tol=1e-9):
     beta = max(beta_ratios)
     if not upper_ok:
         beta = math.inf
-    return max(eta_ratios), beta, cross
+    return CertificationResult(max(eta_ratios), beta, cross, max(chain_ratios), upper_ok)
+
+
+def random_table(seed, n, monotone):
+    if monotone:
+        return random_monotone_instance(seed, n).function
+    return TableFunction(np.random.default_rng(seed).uniform(-1.0, 2.0, 1 << n))
+
+
+PATHOLOGICAL_SCHEMES = (
+    CostShareScheme(lambda i, oset: 0.0, label="zero"),
+    CostShareScheme(lambda i, oset: 0.4, label="flat"),
+    CostShareScheme(lambda i, oset: 1.0 / len(oset.order), label="equal-split"),
+    CostShareScheme(lambda i, oset: 1.0, label="overcharge"),
+)
 
 
 class TestCertifyAgainstReference:
+    """certify must equal the reference bit for bit: both add shares in the
+    same order and take the same maxima."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_reference_on_random_monotone(self, seed):
         f = random_monotone_instance(660 + seed, 3).function
-        cert = certify(incremental_scheme(f), f)
-        eta, beta, cross = reference_certify(incremental_scheme(f), f)
-        assert cert.eta_star == pytest.approx(eta, abs=1e-12)
-        assert cert.beta_star == pytest.approx(beta, abs=1e-12)
-        assert cert.cross_monotone == cross
+        assert certify(incremental_scheme(f), f) == reference_certify(incremental_scheme(f), f)
 
     def test_matches_reference_on_pathological_schemes(self):
         f = threshold_instance(3).function
-        for scheme in (
-            CostShareScheme(lambda i, oset: 0.0, label="zero"),
-            CostShareScheme(lambda i, oset: 0.4, label="flat"),
-            CostShareScheme(lambda i, oset: 1.0 / len(oset.order), label="equal-split"),
-        ):
-            cert = certify(scheme, f)
-            eta, beta, cross = reference_certify(scheme, f)
-            if math.isinf(beta):
-                assert math.isinf(cert.beta_star)
-            else:
-                assert cert.beta_star == pytest.approx(beta, abs=1e-12)
-            assert cert.eta_star == pytest.approx(eta, abs=1e-12)
-            assert cert.cross_monotone == cross
+        for scheme in PATHOLOGICAL_SCHEMES:
+            assert certify(scheme, f) == reference_certify(scheme, f)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("monotone", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_incremental_on_random_tables(self, n, monotone, seed):
+        f = random_table(660 + 10 * n + seed, n, monotone)
+        assert certify(incremental_scheme(f), f) == reference_certify(incremental_scheme(f), f)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_incremental_on_square_function(self, n):
+        f = square_function(n)
+        cert = certify(incremental_scheme(f), f)
+        assert cert == reference_certify(incremental_scheme(f), f)
+        assert not cert.cross_monotone
+
+    @pytest.mark.parametrize("scheme", PATHOLOGICAL_SCHEMES, ids=lambda s: s.label)
+    @pytest.mark.parametrize(
+        "f", [random_table(5, 4, False), square_function(3)], ids=["random4", "square3"]
+    )
+    def test_pathological_schemes_on_more_functions(self, scheme, f):
+        assert certify(scheme, f) == reference_certify(scheme, f)
+
+    def test_lifted_scheme(self):
+        f = random_coverage_function(42, 2)
+        base = Instance(f, [0.5, 0.5])
+        split_inst, split_map = split_instance(base, [2, 2])
+        lifted = lift_scheme(incremental_scheme(f), split_map)
+        g = split_inst.function
+        assert certify(lifted, g) == reference_certify(lifted, g)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3, 0.5])
+    def test_tolerance_is_honoured(self, tol):
+        f = random_table(77, 4, False)
+        scheme = incremental_scheme(f)
+        assert certify(scheme, f, tol) == reference_certify(scheme, f, tol)
+
+
+def all_orderings(n, k):
+    return [
+        order
+        for members in itertools.combinations(range(n), k)
+        for order in itertools.permutations(members)
+    ]
+
+
+class TestBatchShares:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_incremental_batch_equals_scalar_share(self, n, monotone):
+        f = random_table(900 + n, n, monotone)
+        scheme = incremental_scheme(f)
+        for k in range(1, n + 1):
+            orders = all_orderings(n, k)
+            scalar = [[scheme.share(i, OrderedSet.from_order(o)) for i in o] for o in orders]
+            assert scheme.shares(np.array(orders)).tolist() == scalar
+
+    def test_default_batch_loops_over_share(self):
+        scheme = CostShareScheme(lambda i, oset: i + 0.5 * len(oset.order), label="custom")
+        orders = np.array(all_orderings(4, 3))
+        expected = [[i + 1.5 for i in o] for o in orders.tolist()]
+        assert scheme.shares(orders).tolist() == expected
+
+    def test_replacing_share_keeps_the_batch_oracle(self):
+        f = random_table(3, 4, False)
+        scheme = incremental_scheme(f)
+        calls = []
+
+        def counted(i, oset):
+            calls.append(i)
+            return scheme.share(i, oset)
+
+        wrapped = dataclasses.replace(scheme, share=counted)
+        assert certify(wrapped, f) == certify(scheme, f)
+        assert calls == []
+        unbatched = dataclasses.replace(scheme, share=counted, batch=None)
+        assert certify(unbatched, f) == certify(scheme, f)
+        assert len(calls) == sum(math.perm(4, k) * k for k in range(1, 5))
