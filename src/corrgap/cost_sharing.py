@@ -5,11 +5,11 @@ and weak summability constants, and the lift of a scheme through a split map
 
 A scheme answers one share at a time (`share`) and, through `shares`, a
 whole batch of orderings at once: an (m, k) array of orderings gives the
-(m, k) shares of their elements. The batch oracle defaults to a loop over
-`share`; `incremental_scheme` computes it from one table of f by prefix-mask
-gathers. `certify` asks for one batch per set size, covering every ordering
-of every subset, and checks cross-monotonicity by gathering the shares of
-each restriction from the smaller sizes' batches.
+(m, k) shares of their elements. `shares` loops over `share`, except that
+the share oracle of `incremental_scheme` answers the whole batch itself from
+one table of f by prefix-mask gathers. `certify` asks for one batch per set
+size, covering every ordering of every subset, and checks cross-monotonicity
+by gathering the shares of each restriction from the smaller sizes' batches.
 """
 
 from __future__ import annotations
@@ -63,20 +63,21 @@ class OrderedSet:
 class CostShareScheme:
     """Share oracle chi(i, ordered set containing i) with declared constants.
 
-    `batch`, when given, answers `shares` without calling `share`; it must
-    return exactly what `share` would, element by element."""
+    The batch oracle belongs to the share oracle, not to the scheme: `shares`
+    uses it only while `share` is the incremental oracle itself. A scheme
+    whose `share` is replaced (say by `dataclasses.replace`) loops over the
+    new `share`, so the two can never disagree."""
 
     share: Callable[[int, OrderedSet], float]
     declared_eta: float = 1.0
     declared_beta: float = 1.0
     label: str = ""
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def shares(self, orders: np.ndarray) -> np.ndarray:
         """Float64 (m, k) shares for an (m, k) int array whose rows are
         orderings of distinct elements: out[r, p] = share(orders[r, p], row r)."""
-        if self.batch is not None:
-            return self.batch(orders)
+        if isinstance(self.share, _IncrementalShare):
+            return self.share.batch(orders)
         out = np.empty(orders.shape)
         for r, order in enumerate(orders.tolist()):
             oset = OrderedSet.from_order(order)
@@ -85,12 +86,15 @@ class CostShareScheme:
         return out
 
 
-def incremental_scheme(f: SetFunction) -> CostShareScheme:
-    """chi(i, S, sigma) = f(first j elements) - f(first j-1) where i is j-th in
-    sigma. Shares telescope to f(S) - f(empty); for submodular f this is a
-    (1, 1) cross-monotone scheme."""
+class _IncrementalShare:
+    """The incremental share oracle of f: one share per call, or a batch of
+    orderings gathered from f's table (`f.values()`)."""
 
-    def share(i: int, oset: OrderedSet) -> float:
+    def __init__(self, f: SetFunction):
+        self.f = f
+
+    def __call__(self, i: int, oset: OrderedSet) -> float:
+        f = self.f
         prefix = 0
         for j in oset.order:
             if j == i:
@@ -98,18 +102,19 @@ def incremental_scheme(f: SetFunction) -> CostShareScheme:
             prefix |= 1 << j
         raise ValidationError(f"element {i} not in the ordered set")
 
-    @functools.cache
-    def table() -> np.ndarray:
-        return np.array([f.value(m) for m in range(1 << f.n)], dtype=np.float64)
-
-    def batch(orders: np.ndarray) -> np.ndarray:
+    def batch(self, orders: np.ndarray) -> np.ndarray:
+        values = self.f.values()
         after = np.bitwise_or.accumulate(1 << orders, axis=1)
         before = np.zeros_like(after)
         before[:, 1:] = after[:, :-1]
-        values = table()
         return values[after] - values[before]
 
-    return CostShareScheme(share, 1.0, 1.0, "incremental", batch)
+
+def incremental_scheme(f: SetFunction) -> CostShareScheme:
+    """chi(i, S, sigma) = f(first j elements) - f(first j-1) where i is j-th in
+    sigma. Shares telescope to f(S) - f(empty); for submodular f this is a
+    (1, 1) cross-monotone scheme."""
+    return CostShareScheme(_IncrementalShare(f), 1.0, 1.0, "incremental")
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ def certify(scheme: CostShareScheme, f: SetFunction, tol: float = SHARE_TOL) -> 
     _guard_certify(f.n)
     n = f.n
     levels, masks, restrictions = _enumeration(n)
-    values = np.array([f.value(m) for m in range(1 << n)], dtype=np.float64)
+    values = f.values()
 
     shares, totals, prefix_totals = [], [], []
     prefix_total = np.zeros(1)

@@ -194,6 +194,16 @@ class TestFacilityLocation:
             singles = [d.function.value(m) for m in range(32)]
             assert np.allclose(table, singles, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_equals_single_evaluations_up_to_certify_cap(self, n):
+        # certify reads f(S) from the table and must match f.value exactly
+        rng = np.random.default_rng(n)
+        for pre_open in ((), (0,)):
+            f = FacilityLocationCost(
+                rng.random(3) * 3, rng.random((n, 3)) * 5, pre_open, float(rng.random())
+            )
+            assert np.array_equal(f.values(), [f.value(m) for m in range(1 << n)])
+
     def test_table_bit_identical_to_concat_doubling(self):
         from corrgap.instances import random_ufl_space
 

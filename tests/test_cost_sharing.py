@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -369,7 +370,7 @@ class TestBatchShares:
         expected = [[i + 1.5 for i in o] for o in orders.tolist()]
         assert scheme.shares(orders).tolist() == expected
 
-    def test_replacing_share_keeps_the_batch_oracle(self):
+    def test_replacing_share_drops_the_batch_oracle(self):
         f = random_table(3, 4, False)
         scheme = incremental_scheme(f)
         calls = []
@@ -380,7 +381,21 @@ class TestBatchShares:
 
         wrapped = dataclasses.replace(scheme, share=counted)
         assert certify(wrapped, f) == certify(scheme, f)
-        assert calls == []
-        unbatched = dataclasses.replace(scheme, share=counted, batch=None)
-        assert certify(unbatched, f) == certify(scheme, f)
         assert len(calls) == sum(math.perm(4, k) * k for k in range(1, 5))
+
+    def test_share_wrapped_with_functools_wraps_is_called(self):
+        # functools.wraps copies the oracle's attributes onto the wrapper;
+        # the wrapper still answers batches through itself.
+        f = random_table(4, 3, True)
+        scheme = incremental_scheme(f)
+        calls = []
+
+        @functools.wraps(scheme.share)
+        def counted(i, oset):
+            calls.append(i)
+            return scheme.share(i, oset)
+
+        wrapped = dataclasses.replace(scheme, share=counted)
+        orders = np.array(all_orderings(3, 3))
+        assert wrapped.shares(orders).tolist() == scheme.shares(orders).tolist()
+        assert len(calls) == orders.size
