@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -44,6 +45,14 @@ def _add_output_args(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _tolerance(text: str) -> float:
+    """The type of the --tol-* flags: a finite float >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first `main` call and reused by every
@@ -63,13 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--samples", type=int, help="Monte Carlo the independent leg (needs --seed)")
     gap.add_argument("--eta", type=float, help="declared summability constant for the bound")
     gap.add_argument("--beta", type=float, help="declared budget-balance constant for the bound")
-    gap.add_argument("--tol-lp", type=float, default=LP_TOL)
+    gap.add_argument("--tol-lp", type=_tolerance, default=LP_TOL)
 
     wc = subs.add_parser("worst-case", help="worst-case distribution LP with dual certificate")
     _add_source_args(wc)
     _add_output_args(wc)
-    wc.add_argument("--tol-lp", type=float, default=LP_TOL)
-    wc.add_argument("--tol-check", type=float, default=CERT_TOL)
+    wc.add_argument("--tol-lp", type=_tolerance, default=LP_TOL)
+    wc.add_argument("--tol-check", type=_tolerance, default=CERT_TOL)
 
     robust = subs.add_parser("robust", help="robust vs independent decisions over a space")
     _add_source_args(robust)
@@ -89,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cert = subs.add_parser("certify-scheme", help="certify the incremental scheme on an instance")
     _add_source_args(cert)
     _add_output_args(cert)
-    cert.add_argument("--tol-check", type=float, default=SHARE_TOL)
+    cert.add_argument("--tol-check", type=_tolerance, default=SHARE_TOL)
 
     verify = subs.add_parser("verify", help="run the full reproduction suite")
     verify.add_argument("--all", action="store_true", help="run everything (the default)")

@@ -10,6 +10,8 @@ the share oracle of `incremental_scheme` answers the whole batch itself from
 one table of f by prefix-mask gathers. `certify` asks for one batch per set
 size, covering every ordering of every subset, and checks cross-monotonicity
 by gathering the shares of each restriction from the smaller sizes' batches.
+`partial_prefix_cross_monotone` runs on the same plan, masked to the
+orderings that respect a split's block order.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .core import SetFunction, SizeCapError, ValidationError, elements_of
+from .core import SetFunction, SizeCapError, ValidationError
 from .split import SplitMap
 
 CERTIFY_CAP = 6  # enumerates all subsets and all orderings of each
@@ -61,7 +63,7 @@ class OrderedSet:
 
 @dataclass(frozen=True)
 class CostShareScheme:
-    """Share oracle chi(i, ordered set containing i) with declared constants.
+    """Share oracle chi(i, ordered set containing i).
 
     The batch oracle belongs to the share oracle, not to the scheme: `shares`
     uses it only while `share` is the incremental oracle itself. A scheme
@@ -69,8 +71,6 @@ class CostShareScheme:
     new `share`, so the two can never disagree."""
 
     share: Callable[[int, OrderedSet], float]
-    declared_eta: float = 1.0
-    declared_beta: float = 1.0
     label: str = ""
 
     def shares(self, orders: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def incremental_scheme(f: SetFunction) -> CostShareScheme:
     """chi(i, S, sigma) = f(first j elements) - f(first j-1) where i is j-th in
     sigma. Shares telescope to f(S) - f(empty); for submodular f this is a
     (1, 1) cross-monotone scheme."""
-    return CostShareScheme(_IncrementalShare(f), 1.0, 1.0, "incremental")
+    return CostShareScheme(_IncrementalShare(f), label="incremental")
 
 
 @dataclass(frozen=True)
@@ -268,22 +268,7 @@ def lift_scheme(scheme: CostShareScheme, split_map: SplitMap) -> CostShareScheme
             return 0.0
         return scheme.share(target, OrderedSet.from_order(projected_order))
 
-    return CostShareScheme(
-        share, scheme.declared_eta, scheme.declared_beta, f"lifted({scheme.label})"
-    )
-
-
-def _block_respecting_orderings(members: list[int], labels) -> list[tuple[int, ...]]:
-    """All orderings of the members that list higher labels strictly first."""
-    by_label: dict[int, list[int]] = {}
-    for c in members:
-        by_label.setdefault(labels[c], []).append(c)
-    groups = [by_label[lbl] for lbl in sorted(by_label, reverse=True)]
-
-    orderings: list[tuple[int, ...]] = [()]
-    for group in groups:
-        orderings = [head + perm for head in orderings for perm in permutations(group)]
-    return orderings
+    return CostShareScheme(share, label=f"lifted({scheme.label})")
 
 
 def partial_prefix_cross_monotone(
@@ -292,28 +277,30 @@ def partial_prefix_cross_monotone(
     """Cross-monotonicity of a lifted scheme restricted to the orderings that
     respect the split's block order (higher labels first) and to pairs
     S' <= T' where S' sits in the early blocks and the added elements in the
-    late ones (S' a partial prefix of T')."""
+    late ones (S' a partial prefix of T').
+
+    Runs on `certify`'s plan: one `scheme.shares` batch per set size over the
+    block-respecting orderings (labels never increase along the row). A
+    restriction of such an ordering respects the blocks too, so every S' row
+    is in its size's batch; one comparison per pair of set sizes follows."""
     n = split_map.n_new
     _guard_certify(n)
-    labels = split_map.labels
+    levels, _, restrictions = _enumeration(n)
+    labels = np.asarray(split_map.labels)
+    level_labels = [labels[orders] for orders, _ in levels]
+    shares = []  # rows outside the block order hold NaN, which never compares as a violation
+    for (orders, _), lab in zip(levels, level_labels):
+        respecting = (lab[:, 1:] <= lab[:, :-1]).all(axis=1)
+        batch = np.full(orders.shape, np.nan)
+        batch[respecting] = scheme.shares(orders[respecting])
+        shares.append(batch)
 
-    for t in range(1, 1 << n):
-        t_members = elements_of(t)
-        for t_order in _block_respecting_orderings(t_members, labels):
-            t_oset = OrderedSet(t, t_order)
-            shares_t = {i: scheme.share(i, t_oset) for i in t_members}
-            sub = (t - 1) & t
-            while True:
-                if sub:
-                    added = t & ~sub
-                    min_kept = min(labels[i] for i in elements_of(sub))
-                    max_added = max(labels[i] for i in elements_of(added))
-                    if min_kept >= max_added:
-                        s_oset = t_oset.restrict(sub)
-                        for i in s_oset.order:
-                            if scheme.share(i, s_oset) < shares_t[i] - tol:
-                                return False
-                if sub == 0:
-                    break
-                sub = (sub - 1) & t
+    for k, j, cols, rows in restrictions:
+        lab = level_labels[k - 1]
+        # On a row whose labels never increase, S' is a partial prefix (its
+        # smallest label >= the largest dropped one) iff it keeps the row's
+        # j highest labels: its labels, in row order, are the first j.
+        prefix = (lab[:, cols] == lab[:, None, :j]).all(axis=2)
+        if (shares[j - 1][rows[prefix]] < shares[k - 1][:, cols][prefix] - tol).any():
+            return False
     return True

@@ -38,8 +38,8 @@ def safe_ratio(numerator: float, denominator: float) -> float | None:
 
 def theoretical_bound(eta: float, beta: float) -> float:
     """The gap bound eta * beta * e/(e-1) for an (eta, beta) cost-sharing scheme."""
-    if eta < 1.0 or beta < 1.0:
-        raise ValidationError("eta and beta must both be >= 1")
+    if not (1.0 <= eta < math.inf and 1.0 <= beta < math.inf):
+        raise ValidationError("eta and beta must both be finite and >= 1")
     return eta * beta * GAP_BOUND_CONSTANT
 
 

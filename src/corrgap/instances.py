@@ -578,7 +578,9 @@ def _battery(name: str, trials: int, run_one: Callable[[int], bool]) -> FactResu
 
 
 def property_facts(scale: int = 1) -> list[FactResult]:
-    """Seeded random-instance batteries; `scale` multiplies the trial counts."""
+    """Seeded random-instance batteries; `scale` (>= 1) multiplies the trial counts."""
+    if scale < 1:
+        raise ValidationError(f"scale must be >= 1, got {scale}")
 
     def coverage_bound(t: int) -> bool:
         n = 3 + (t % 5)

@@ -421,6 +421,40 @@ class TestWelfarePlayersField:
         assert data["independent_value"] == pytest.approx(0.75, abs=1e-12)
 
 
+TOLERANCE_FLAGS = [
+    ("gap", "--tol-lp"),
+    ("worst-case", "--tol-lp"),
+    ("worst-case", "--tol-check"),
+    ("certify-scheme", "--tol-check"),
+]
+
+
+class TestNumericFlagRanges:
+    @pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_tolerance_not_finite_and_nonnegative_exits_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--builtin", "example3", "--n", "3", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
+    def test_zero_tolerance_accepted(self, capsys, command, flag):
+        run_json(capsys, command, "--builtin", "example3", "--n", "3", flag, "0")
+
+    @pytest.mark.parametrize("flag", ["--eta", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bound_constant_not_finite_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "gap", "--builtin", "example3", "--n", "3", flag, value)
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_verify_scale_below_one_exits_2(self, capsys, scale):
+        code, out, err = run_cli(capsys, "verify", "--scale", scale)
+        assert code == 2 and out == "" and "scale" in err
+
+
 class TestParserReuse:
     GOOD = ["gap", "--builtin", "example3", "--n", "3"]
 

@@ -399,3 +399,107 @@ class TestBatchShares:
         orders = np.array(all_orderings(3, 3))
         assert wrapped.shares(orders).tolist() == scheme.shares(orders).tolist()
         assert len(calls) == orders.size
+
+
+def reference_partial_prefix(scheme, split_map, tol=1e-9):
+    """From-scratch reference for partial_prefix_cross_monotone: block
+    orderings built with permutations, submasks walked one by one, each
+    restriction made through OrderedSet.restrict and asked for its shares."""
+    n = split_map.n_new
+    labels = split_map.labels
+    for t in range(1, 1 << n):
+        t_members = [i for i in range(n) if t >> i & 1]
+        groups = [
+            [c for c in t_members if labels[c] == lbl]
+            for lbl in sorted({labels[c] for c in t_members}, reverse=True)
+        ]
+        t_orders = [()]
+        for group in groups:
+            t_orders = [head + perm for head in t_orders for perm in itertools.permutations(group)]
+        for t_order in t_orders:
+            t_oset = OrderedSet(t, t_order)
+            shares_t = {i: scheme.share(i, t_oset) for i in t_members}
+            for sub in range(1, t):
+                if sub & ~t:
+                    continue
+                kept = [labels[i] for i in t_members if sub >> i & 1]
+                added = [labels[i] for i in t_members if not sub >> i & 1]
+                if min(kept) >= max(added):
+                    s_oset = t_oset.restrict(sub)
+                    for i in s_oset.order:
+                        if scheme.share(i, s_oset) < shares_t[i] - tol:
+                            return False
+    return True
+
+
+def random_split_case(seed):
+    """A random base function on n <= 3 elements, split into n' <= 6 copies
+    with default labels or custom labels that tie, and a scheme on the split:
+    the lifted incremental scheme, or the incremental scheme of the split
+    function itself."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    counts = [int(c) for c in rng.integers(1, 6 // n + 1, n)]
+    kind = seed % 4
+    if kind == 0:
+        f = random_coverage_function(seed, n)
+    elif kind == 1:
+        f = random_table(seed, n, True)
+    elif kind == 2:
+        f = random_table(seed, n, False)
+    else:
+        f = square_function(n)
+    labels = None
+    if seed % 3 == 0:
+        labels = [int(v) for v in rng.integers(0, 3, sum(counts))]
+    split_inst, split_map = split_instance(Instance(f, [0.5] * n), counts, labels)
+    if seed % 5 == 0:
+        return incremental_scheme(split_inst.function), split_map
+    return lift_scheme(incremental_scheme(f), split_map), split_map
+
+
+# NaN on pairs, else growing with the set: only comparisons without NaN fail.
+NAN_SCHEME = CostShareScheme(
+    lambda i, oset: math.nan if len(oset.order) == 2 else float(len(oset.order)), label="nan"
+)
+
+
+class TestPartialPrefixAgainstReference:
+    """partial_prefix_cross_monotone must give the reference's boolean."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    def test_random_splits(self, tol):
+        outcomes = []
+        for seed in range(60):
+            scheme, split_map = random_split_case(seed)
+            got = partial_prefix_cross_monotone(scheme, split_map, tol)
+            assert got == reference_partial_prefix(scheme, split_map, tol), seed
+            outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize(
+        "scheme", PATHOLOGICAL_SCHEMES + (NAN_SCHEME,), ids=lambda s: s.label
+    )
+    @pytest.mark.parametrize("labels", [None, [2, 1, 1, 2, 0]], ids=["default", "ties"])
+    def test_custom_schemes(self, scheme, labels):
+        _, split_map = split_instance(threshold_instance(2), [3, 2], labels)
+        for candidate in (scheme, lift_scheme(scheme, split_map)):
+            got = partial_prefix_cross_monotone(candidate, split_map)
+            assert got == reference_partial_prefix(candidate, split_map)
+
+    def test_one_share_call_per_element_of_each_block_ordering(self):
+        base = threshold_instance(2)
+        _, split_map = split_instance(base, [2, 2])
+        lifted = lift_scheme(incremental_scheme(base.function), split_map)
+        calls = []
+
+        def counted(i, oset):
+            calls.append((i, oset.order))
+            return lifted.share(i, oset)
+
+        assert partial_prefix_cross_monotone(dataclasses.replace(lifted, share=counted), split_map)
+        assert len(calls) == len(set(calls)) == 60
+        labels = split_map.labels
+        assert all(
+            all(labels[a] >= labels[b] for a, b in itertools.pairwise(order)) for _, order in calls
+        )

@@ -76,6 +76,13 @@ class TestBound:
         with pytest.raises(ValidationError):
             theoretical_bound(0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "eta,beta", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_non_finite_constants_rejected(self, eta, beta):
+        with pytest.raises(ValidationError):
+            theoretical_bound(eta, beta)
+
     def test_bound_attached_to_report(self):
         report = correlation_gap(threshold_instance(3), eta=1.0, beta=1.0)
         assert report.bound == pytest.approx(GAP_BOUND_CONSTANT, abs=1e-12)

@@ -235,6 +235,13 @@ class TestReproductionSuite:
         failed = [f.name for f in facts if not f.passed]
         assert failed == []
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_scale_below_one_rejected(self, scale):
+        with pytest.raises(ValidationError):
+            property_facts(scale)
+        with pytest.raises(ValidationError):
+            verification_report(scale)
+
     def test_report_is_deterministic(self):
         a = verification_report()
         b = verification_report()
