@@ -208,8 +208,11 @@ def _emit(payload: dict, args) -> None:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -246,7 +249,7 @@ def _cmd_welfare(args) -> int:
     source = _load_source(args)
     if isinstance(source, WelfareCase):
         function, players = source.function, source.players
-        if args.k is not None and args.builtin is None:
+        if args.k is not None:
             players = args.k
     else:
         function = _as_instance(source).function

@@ -79,8 +79,9 @@ def subset_sums(weights: Sequence[float], out: np.ndarray | None = None) -> np.n
 class SetFunction:
     """Deterministic oracle f: 2^{0..n-1} -> R, addressed by bitmask.
 
-    `value` answers single masks for any n <= MAX_GROUND; `values` materialises
-    the full table (n <= MAX_EXACT) for the enumeration and LP engines.
+    A subclass defines one evaluator, `values_at`; `values` caches it over
+    every mask (n <= MAX_EXACT) for the enumeration and LP engines, and
+    `value` answers single masks for any n <= MAX_GROUND.
     Instances are immutable after construction apart from the value cache.
     """
 
@@ -92,7 +93,8 @@ class SetFunction:
         self.n = n
         self._table: np.ndarray | None = None
 
-    def value(self, mask: int) -> float:
+    def values_at(self, masks: np.ndarray) -> np.ndarray:
+        """f at each mask of an integer array, as float64."""
         raise NotImplementedError
 
     def values(self) -> np.ndarray:
@@ -100,34 +102,18 @@ class SetFunction:
         if self.n > MAX_EXACT:
             raise SizeCapError(f"cannot enumerate 2^{self.n} scenarios (cap {MAX_EXACT})")
         if self._table is None:
-            table = np.asarray(self._materialize(), dtype=np.float64)
+            masks = np.arange(1 << self.n, dtype=np.uint64)
+            table = np.asarray(self.values_at(masks), dtype=np.float64)
             table.flags.writeable = False
             self._table = table
         return self._table
 
-    def values_at(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation at an array of masks."""
-        if self.n <= MAX_EXACT:
-            return self.values()[masks]
-        return self._values_at_large(masks)
-
-    def _materialize(self) -> np.ndarray:
-        return np.array([self.value(m) for m in range(1 << self.n)], dtype=np.float64)
-
-    def _values_at_large(self, masks: np.ndarray) -> np.ndarray:
-        cache: dict[int, float] = {}
-        out = np.empty(len(masks), dtype=np.float64)
-        for j, m in enumerate(masks):
-            m = int(m)
-            v = cache.get(m)
-            if v is None:
-                v = cache[m] = self.value(m)
-            out[j] = v
-        return out
-
-    def _check_mask(self, mask: int):
+    def value(self, mask: int) -> float:
         if not 0 <= mask < 1 << self.n:
             raise ValidationError(f"mask {mask} out of range for n={self.n}")
+        if self.n <= MAX_EXACT:
+            return float(self.values()[mask])
+        return float(self.values_at(np.array([mask], dtype=np.uint64))[0])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -153,9 +139,8 @@ class TableFunction(SetFunction):
         arr.flags.writeable = False
         self._table = arr
 
-    def value(self, mask: int) -> float:
-        self._check_mask(mask)
-        return float(self._table[mask])
+    def values_at(self, masks: np.ndarray) -> np.ndarray:
+        return self._table[masks]
 
     def to_json(self) -> dict:
         return {"type": "explicit", "n": self.n, "values": [float(v) for v in self._table]}
@@ -181,13 +166,6 @@ class CoverageMax(SetFunction):
         if union != (1 << n) - 1:
             raise ValidationError("partition does not cover the ground set")
         self.blocks = tuple(blocks)
-
-    def value(self, mask: int) -> float:
-        self._check_mask(mask)
-        return float(max((mask & bm).bit_count() for bm in self.blocks))
-
-    def _materialize(self) -> np.ndarray:
-        return self.values_at(np.arange(1 << self.n, dtype=np.uint64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         return block_max_counts(masks, self.blocks).astype(np.float64)
@@ -217,13 +195,6 @@ class TwoStageFlow(SetFunction):
         self.x = x
         self.build_cost = float(x if x <= n - 1 else n + 2)
         self.penalty = float(2**n)
-
-    def value(self, mask: int) -> float:
-        self._check_mask(mask)
-        return self.build_cost + self.penalty * max(mask.bit_count() - self.x, 0)
-
-    def _materialize(self) -> np.ndarray:
-        return self.values_at(np.arange(1 << self.n, dtype=np.uint64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         sizes = popcounts(masks.astype(np.uint64))
@@ -281,8 +252,9 @@ class FacilityLocationCost(SetFunction):
         self._closed = tuple(j for j in range(m) if j not in pre)
 
     def _open_sets(self):
-        """(open cost, sorted open facilities) for every subset of the
-        not-yet-open facilities that leaves at least one facility open."""
+        """(open cost, distance from each client to its nearest open facility)
+        for every subset of the not-yet-open facilities that leaves at least
+        one facility open."""
         for g in range(1 << len(self._closed)):
             opened = set(self.pre_open)
             open_cost = 0.0
@@ -291,26 +263,24 @@ class FacilityLocationCost(SetFunction):
                     opened.add(j)
                     open_cost += self.open_costs[j]
             if opened:
-                yield open_cost, sorted(opened)
+                yield open_cost, self.distances[:, sorted(opened)].min(axis=1)
 
-    def value(self, mask: int) -> float:
-        self._check_mask(mask)
-        if mask == 0:
-            return self.base_cost
-        clients = elements_of(mask)
-        best = min(
-            open_cost + float(self.distances[np.ix_(clients, cols)].min(axis=1).sum())
-            for open_cost, cols in self._open_sets()
-        )
-        return self.base_cost + best
-
-    def _materialize(self) -> np.ndarray:
-        best = np.full(1 << self.n, np.inf)
-        for open_cost, cols in self._open_sets():
-            nearest = self.distances[:, cols].min(axis=1)
-            np.minimum(best, open_cost + subset_sums(nearest), out=best)
-        best[0] = 0.0  # serving nobody opens nothing
-        return self.base_cost + best
+    def values_at(self, masks: np.ndarray) -> np.ndarray:
+        """Gathered from the whole 2^n cost table: the cached `values()` once
+        an exact engine has built it, else a fresh subset-sum doubling per
+        open set (O(2^m * 2^n) time in two 2^n buffers, paid by every call
+        above MAX_EXACT)."""
+        table = self._table
+        if table is None:
+            table = np.full(1 << self.n, np.inf)
+            sums = np.empty(1 << self.n)
+            for open_cost, nearest in self._open_sets():
+                subset_sums(nearest, sums)
+                sums += open_cost
+                np.minimum(table, sums, out=table)
+            table[0] = 0.0  # serving nobody opens nothing
+            table += self.base_cost
+        return table[masks]
 
     def to_json(self) -> dict:
         data = {

@@ -57,7 +57,9 @@ class ScenarioDistribution:
     def expectation(self, f: SetFunction) -> float:
         if f.n != self.n:
             raise ValidationError("distribution and function ground sets differ")
-        return float(sum(prob * f.value(mask) for mask, prob in self.support))
+        masks = np.array([mask for mask, _ in self.support], dtype=np.uint64)
+        values = f.values_at(masks).tolist()
+        return float(sum(prob * v for (_, prob), v in zip(self.support, values)))
 
     def to_json(self) -> dict:
         return {"support": [{"mask": mask, "p": prob} for mask, prob in self.support]}

@@ -87,8 +87,8 @@ class SplitMap:
 
 class ProjectedFunction(SetFunction):
     """f'(S') = f(Pi(S')): the base oracle evaluated through the copy map.
-    Evaluation stays lazy; the table materialises only when an exact engine
-    asks for it."""
+    `values_at` projects all its masks at once and asks the base's
+    `values_at` for them."""
 
     kind = "projected"
 
@@ -99,18 +99,12 @@ class ProjectedFunction(SetFunction):
         self.base = base
         self.split_map = split_map
 
-    def value(self, mask: int) -> float:
-        return self.base.value(self.split_map.project(mask))
-
     def _projected_masks(self, masks: np.ndarray) -> np.ndarray:
         arr = masks.astype(np.int64)
         out = np.zeros_like(arr)
         for j, orig in enumerate(self.split_map.original_of):
             out |= ((arr >> j) & 1) << orig
         return out
-
-    def _materialize(self) -> np.ndarray:
-        return self.values_at(np.arange(1 << self.n, dtype=np.int64))
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         return self.base.values_at(self._projected_masks(masks))

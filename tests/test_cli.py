@@ -200,6 +200,17 @@ class TestOtherCommands:
         assert data["opt_ip"] == pytest.approx(11.0, abs=1e-9)
         assert data["upper_bound"] == pytest.approx(12.0, abs=1e-9)
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_welfare_builtin_rejects_nonpositive_k(self, capsys, k):
+        code, out, err = run_cli(capsys, "welfare", "--builtin", "integrality_gap", "--k", k)
+        assert code == 2 and out == "" and "at least one player" in err
+
+    def test_welfare_k_sets_players_of_welfare_builtin(self, capsys):
+        # the 3-player case reaches 11; with 5 players every good can go to its own player
+        data = run_json(capsys, "welfare", "--builtin", "integrality_gap", "--k", "5")
+        assert data["opt_ip"] == pytest.approx(12.0, abs=1e-9)
+        assert data["upper_bound"] == pytest.approx(12.0, abs=1e-9)
+
     def test_welfare_instance_needs_players(self, capsys):
         code, _, _ = run_cli(capsys, "welfare", "--builtin", "example3", "--n", "3")
         assert code == 2
@@ -266,6 +277,13 @@ class TestOutputHandling:
         assert code == 0 and out == ""
         data = json.loads(path.read_text())
         assert data["kappa"] == pytest.approx(27 / 19, abs=1e-9)
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        for path in (tmp_path / "missing" / "report.json", tmp_path):
+            code, out, err = run_cli(
+                capsys, "gap", "--builtin", "example3", "--n", "3", "--out", str(path)
+            )
+            assert code == 2 and out == "" and err.startswith(f"error: cannot write {path}: ")
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "gap", "--builtin", "example3", "--n", "3", "--format", "csv")

@@ -26,6 +26,44 @@ def cardinality_table(n, fn):
     return TableFunction([float(fn(m.bit_count())) for m in range(1 << n)])
 
 
+def reference_coverage_max(blocks, mask):
+    """max_k |S & A_k|, counted bit by bit, one mask at a time."""
+    return max(sum(mask >> i & 1 for i in block) for block in blocks)
+
+
+def reference_two_stage_flow(n, x, mask):
+    """c(x) + 2^n * (|S| - x)^+ with c(x) = x below full capacity, n + 2 at it."""
+    return (x if x < n else n + 2) + 2**n * max(mask.bit_count() - x, 0)
+
+
+def _sequential_sum(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def reference_facility_cost(f, mask):
+    """Per-mask brute force for FacilityLocationCost: every open set (the
+    pre-opened facilities plus any subset of the others), each client of the
+    mask served from its nearest open facility via an np.ix_ slice, sums taken
+    left to right in ascending index order as the doubling table adds them."""
+    if mask == 0:
+        return f.base_cost
+    clients = [i for i in range(f.n) if mask >> i & 1]
+    closed = [j for j in range(len(f.open_costs)) if j not in f.pre_open]
+    best = np.inf
+    for g in range(1 << len(closed)):
+        chosen = [j for k, j in enumerate(closed) if g >> k & 1]
+        cols = sorted(f.pre_open.union(chosen))
+        if not cols:
+            continue
+        open_cost = _sequential_sum(f.open_costs[j] for j in chosen)
+        service = _sequential_sum(f.distances[np.ix_(clients, cols)].min(axis=1))
+        best = min(best, open_cost + service)
+    return f.base_cost + best
+
+
 class TestEvaluate:
     def test_coverage_max_example(self):
         f = CoverageMax(4, [[0, 1], [2, 3]])
@@ -54,8 +92,11 @@ class TestEvaluate:
             assert f.value(mask) == f.value(mask)
 
     def test_values_matches_value_pointwise(self):
-        f = TwoStageFlow(5, 2)
-        assert np.array_equal(f.values(), [f.value(m) for m in range(32)])
+        for x in (0, 2, 5):
+            f = TwoStageFlow(5, x)
+            expected = [reference_two_stage_flow(5, x, m) for m in range(32)]
+            assert np.array_equal(f.values(), expected)
+            assert np.array_equal([f.value(m) for m in range(32)], expected)
 
     @pytest.mark.parametrize(
         "n, blocks",
@@ -63,7 +104,10 @@ class TestEvaluate:
     )
     def test_coverage_max_values_match_value_pointwise(self, n, blocks):
         f = CoverageMax(n, blocks)
-        assert np.array_equal(f.values(), [f.value(m) for m in range(1 << n)])
+        expected = [reference_coverage_max(blocks, m) for m in range(1 << n)]
+        assert np.array_equal(f.values(), expected)
+        masks = range(0, 1 << n, 97)
+        assert np.array_equal([f.value(m) for m in masks], [expected[m] for m in masks])
 
     def test_values_cached_and_readonly(self):
         f = TableFunction([0.0, 1.0, 1.0, 2.0])
@@ -184,25 +228,39 @@ class TestFacilityLocation:
         assert [f.value(m) for m in range(4)] == [2.0, 6.0, 3.0, 7.0]
 
     def test_table_agrees_with_single_evaluations(self):
-        # the vectorised materialisation and the per-mask brute force are
-        # independent code paths; they must agree exactly
+        # the subset-sum doubling table against the per-mask brute force
         from corrgap.instances import random_ufl_space
 
         space = random_ufl_space(3, n_clients=5, n_facilities=3)
         for d in space.decisions[:4]:
-            table = d.function.values()
-            singles = [d.function.value(m) for m in range(32)]
-            assert np.allclose(table, singles, atol=1e-12)
+            f = d.function
+            expected = [reference_facility_cost(f, m) for m in range(32)]
+            assert np.array_equal(f.values(), expected)
+            assert np.array_equal([f.value(m) for m in range(32)], expected)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_table_equals_single_evaluations_up_to_certify_cap(self, n):
-        # certify reads f(S) from the table and must match f.value exactly
+        # certify reads f(S) from the table; it must be the brute-force cost exactly
         rng = np.random.default_rng(n)
         for pre_open in ((), (0,)):
             f = FacilityLocationCost(
                 rng.random(3) * 3, rng.random((n, 3)) * 5, pre_open, float(rng.random())
             )
-            assert np.array_equal(f.values(), [f.value(m) for m in range(1 << n)])
+            expected = [reference_facility_cost(f, m) for m in range(1 << n)]
+            assert np.array_equal(f.values(), expected)
+            assert np.array_equal([f.value(m) for m in range(1 << n)], expected)
+
+    @pytest.mark.parametrize("pre_open", [(), (1,)])
+    def test_above_exact_cap_matches_brute_force(self, pre_open):
+        # n = 17 is past MAX_EXACT: every call builds the table afresh
+        rng = np.random.default_rng(17)
+        f = FacilityLocationCost(rng.random(3) * 3, rng.random((17, 3)) * 5, pre_open, 0.5)
+        masks = [0, 1, 0b1010_1010_1010_1010_1, (1 << 17) - 1, 77777]
+        expected = [reference_facility_cost(f, m) for m in masks]
+        assert np.array_equal(f.values_at(np.array(masks, dtype=np.uint64)), expected)
+        assert np.array_equal([f.value(m) for m in masks], expected)
+        with pytest.raises(SizeCapError):
+            f.values()
 
     def test_table_bit_identical_to_concat_doubling(self):
         from corrgap.instances import random_ufl_space
@@ -332,3 +390,29 @@ class TestValidation:
     def test_values_cap(self):
         with pytest.raises(SizeCapError):
             CoverageMax(17, [list(range(17))]).values()
+
+    def test_table_above_exact_cap_still_evaluates(self):
+        table = np.arange(1 << 17, dtype=np.float64) / 8
+        f = TableFunction(table)
+        masks = np.array([0, 5, (1 << 17) - 1], dtype=np.uint64)
+        assert np.array_equal(f.values_at(masks), table[masks])
+        assert [f.value(int(m)) for m in masks] == table[masks].tolist()
+        with pytest.raises(SizeCapError):
+            f.values()
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_value_rejects_out_of_range_masks_for_every_kind(self, n):
+        from corrgap.split import split_instance
+
+        base = TableFunction(np.zeros(1 << n))
+        functions = [
+            base,
+            CoverageMax(n, [list(range(n))]),
+            TwoStageFlow(n, 1),
+            FacilityLocationCost([1.0], [[1.0]] * n),
+            split_instance(Instance(base, [0.5] * n), [1] * (n - 1) + [2])[0].function,
+        ]
+        for f in functions:
+            for mask in (-1, 1 << f.n):
+                with pytest.raises(ValidationError):
+                    f.value(mask)

@@ -181,13 +181,17 @@ class TestMonteCarlo:
 
     def test_vectorised_large_n_paths_match_single_evaluation(self):
         n = 20
-        functions = [
-            CoverageMax(n, [list(range(10)), list(range(10, 20))]),
-            TwoStageFlow(n, 5),
+        low = (1 << 10) - 1
+        cases = [
+            (CoverageMax(n, [list(range(10)), list(range(10, 20))]),
+             lambda m: max((m & low).bit_count(), (m >> 10).bit_count())),
+            (TwoStageFlow(n, 5), lambda m: 5 + 2**n * max(m.bit_count() - 5, 0)),
         ]
-        masks = np.array([0, 1, (1 << n) - 1, 0b1010101010_1010101010, 123456, 999999])
-        for f in functions:
-            assert np.array_equal(f.values_at(masks), [f.value(int(m)) for m in masks])
+        masks = [0, 1, (1 << n) - 1, 0b1010101010_1010101010, 123456, 999999]
+        for f, reference in cases:
+            expected = [reference(m) for m in masks]
+            assert np.array_equal(f.values_at(np.array(masks)), expected)
+            assert np.array_equal([f.value(m) for m in masks], expected)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):

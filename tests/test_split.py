@@ -81,9 +81,12 @@ class TestSplitInstance:
 
     def test_lazy_and_materialised_projection_agree(self):
         inst = random_monotone_instance(31, 3)
-        new_inst, _ = split_instance(inst, [2, 3, 1])
+        new_inst, m = split_instance(inst, [2, 3, 1])
         f = new_inst.function
-        assert np.array_equal(f.values(), [f.value(m) for m in range(1 << f.n)])
+        base = inst.function.values()
+        expected = [base[m.project(mask)] for mask in range(1 << f.n)]
+        assert np.array_equal(f.values(), expected)
+        assert np.array_equal([f.value(mask) for mask in range(1 << f.n)], expected)
 
 
 class TestSplitProperties:
