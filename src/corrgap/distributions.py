@@ -73,6 +73,26 @@ class ScenarioDistribution:
         return cls(n, pairs)
 
 
+_DOT_BLOCK = 1 << 13
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.dot over blocks of at most 8192 elements, block results added left
+    to right, starting from the first block so a zero keeps its sign.
+
+    OpenBLAS's ddot splits a longer vector across its thread pool (x86_64:
+    above 10000 elements), which wakes workers that then spin on the
+    caller's CPU time and makes the sum's order, and so its last bits,
+    depend on the thread count. Blocks below that limit run in the calling
+    thread, in an order fixed by the length alone; at length <= 8192 this
+    is exactly one np.dot.
+    """
+    total = float(np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK]))
+    for start in range(_DOT_BLOCK, len(a), _DOT_BLOCK):
+        total += float(np.dot(a[start : start + _DOT_BLOCK], b[start : start + _DOT_BLOCK]))
+    return total
+
+
 def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
     """Pr(S) = prod_{i in S} p_i * prod_{i not in S} (1 - p_i) for every mask,
     by the doubling of core.subset_sums with multiply; each product takes its
@@ -94,7 +114,7 @@ def independent_expectation_exact(f: SetFunction, p: Sequence[float]) -> float:
     p = tuple(float(x) for x in p)
     if f.n > MAX_EXACT:
         raise SizeCapError(f"exact enumeration needs n <= {MAX_EXACT}, got {f.n}")
-    return float(np.dot(_product_weights(f.n, p), f.values()))
+    return _dot(_product_weights(f.n, p), f.values())
 
 
 def product_distribution(n: int, p: Sequence[float]) -> ScenarioDistribution:
@@ -144,7 +164,7 @@ def independent_expectation_mc(
             masks |= (u[:, i] < p[i]).astype(np.int64) << i
         vals = f.values_at(masks)
         total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        total_sq += _dot(vals, vals)
         done += chunk
     mean = total / samples
     if samples > 1:

@@ -195,8 +195,9 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
         support.append((prefixes[k], sorted_p[k] - sorted_p[k + 1]))
     support.append((prefixes[-1], sorted_p[-1]))
 
-    f_empty = f.value(0)
-    prefix_values = [f.value(m) for m in prefixes]
+    masks = np.array([0, *prefixes], dtype=np.uint64)
+    gathered = f.values()[masks] if n <= MAX_EXACT else f.values_at(masks)
+    f_empty, *prefix_values = gathered.tolist()
     value = (1.0 - sorted_p[0]) * f_empty
     for k in range(n - 1):
         value += (sorted_p[k] - sorted_p[k + 1]) * prefix_values[k]

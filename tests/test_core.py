@@ -262,6 +262,24 @@ class TestFacilityLocation:
         with pytest.raises(SizeCapError):
             f.values()
 
+    def test_supermodular_closed_form_gathers_once_above_exact_cap(self, monkeypatch):
+        # f(empty) and the n prefix values come from one values_at call, not n + 1
+        from corrgap.core import Instance
+        from corrgap.worst_case import descending_order, prefix_masks, supermodular_worst_case
+
+        rng = np.random.default_rng(170)
+        f = FacilityLocationCost(rng.random(3) * 3, rng.random((17, 3)) * 5, (), 0.5)
+        p = tuple(rng.random(17))
+        calls = []
+        gather = f.values_at
+        monkeypatch.setattr(f, "values_at", lambda masks: calls.append(len(masks)) or gather(masks))
+        result = supermodular_worst_case(Instance(f, p))
+        assert calls == [18]
+        expected = [reference_facility_cost(f, m) for m in [0, *prefix_masks(descending_order(p))]]
+        assert result.dual_gamma == expected[0]
+        lam = dict(zip(descending_order(p), np.diff(expected).tolist()))
+        assert result.dual_lambda == tuple(lam[i] for i in range(17))
+
     def test_table_bit_identical_to_concat_doubling(self):
         from corrgap.instances import random_ufl_space
 

@@ -1,10 +1,20 @@
+import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import corrgap
 from corrgap.core import CoverageMax, SizeCapError, TableFunction, TwoStageFlow, ValidationError
 from corrgap.distributions import (
+    _DOT_BLOCK,
     _MC_CHUNK,
     ScenarioDistribution,
+    _dot,
     _product_weights,
     independent_expectation_exact,
     independent_expectation_mc,
@@ -196,6 +206,71 @@ class TestMonteCarlo:
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
             independent_expectation_mc(threshold(2), [0.5, 0.5], 0, seed=1)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class TestBlockedDot:
+    @pytest.mark.parametrize("length", [1, _DOT_BLOCK - 1, _DOT_BLOCK])
+    def test_one_block_is_one_np_dot(self, length):
+        rng = np.random.default_rng(length)
+        a, b = rng.standard_normal(length), rng.standard_normal(length)
+        assert bits(_dot(a, b)) == bits(float(np.dot(a, b)))
+
+    def test_negative_zero_kept(self):
+        a, b = np.array([-1e-300]), np.array([1e-300])
+        assert bits(_dot(a, b)) == bits(-0.0) == bits(float(np.dot(a, b)))
+
+    @pytest.mark.parametrize("length", [1 << 14, 1 << 15, 1 << 16])
+    def test_blocks_added_left_to_right(self, length):
+        rng = np.random.default_rng(length)
+        a, b = rng.standard_normal(length), rng.random(length)
+        total = float(np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK]))
+        for start in range(_DOT_BLOCK, length, _DOT_BLOCK):
+            total += float(np.dot(a[start : start + _DOT_BLOCK], b[start : start + _DOT_BLOCK]))
+        assert bits(_dot(a, b)) == bits(total)
+
+    @pytest.mark.parametrize("length", [3, 5000, 20_000, 1 << 16])
+    def test_close_to_exact_sum(self, length):
+        rng = np.random.default_rng(7 + length)
+        a, b = rng.random(length), rng.random(length)
+        exact = math.fsum(a * b)
+        assert abs(_dot(a, b) - exact) <= 1e-12 * abs(exact)
+
+
+THREAD_PROBE = """
+import numpy as np
+from corrgap.core import TableFunction
+from corrgap.distributions import independent_expectation_exact, independent_expectation_mc
+for seed in (0, 2, 3, 4, 5):
+    rng = np.random.default_rng(seed)
+    f = TableFunction(rng.random(1 << 16))
+    p = rng.random(16)
+    print(repr(independent_expectation_exact(f, p)))
+    for samples in (20_000, 40_000):
+        print(repr(independent_expectation_mc(f, p, samples, seed=seed)))
+"""
+
+
+def test_independent_leg_ignores_blas_thread_count():
+    # n = 16 dots are long enough for OpenBLAS to split them across threads
+    src = str(Path(corrgap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 15
+    assert outputs[0] == outputs[1]
 
 
 class _Cardinality:
