@@ -58,6 +58,7 @@ from .welfare import (
 )
 from .worst_case import (
     SimplexStallError,
+    SimplexStats,
     WorstCaseResult,
     supermodular_worst_case,
     verify_certificate,

@@ -7,6 +7,7 @@ i is in the subset; explicit tables are indexed by that mask value.
 
 from __future__ import annotations
 
+import array
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +27,36 @@ class SizeCapError(RuntimeError):
     """Request exceeds the hard cap of an exact engine."""
 
 
+def as_real(x, what: str) -> float:
+    """x as a float. Strings and bools are refused, although float() reads
+    "1.5" and True as numbers."""
+    if isinstance(x, (str, bytes, bool, np.bool_)):
+        raise ValidationError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def as_real_array(values, what: str) -> np.ndarray:
+    """values as a float64 array, refused unless numpy reads every entry as
+    an int or a float (np.asarray(values, float) would parse "3"). A bool
+    among numbers still reads as 0 or 1."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numbers")
+    return arr.astype(np.float64)
+
+
+def as_int(x, what: str) -> int:
+    """x as an int. Floats, strings and bools are refused, although int()
+    truncates 2.9 and reads "4" and True."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def mask_of(elements: Sequence[int], n: int) -> int:
     mask = 0
     for i in elements:
+        i = as_int(i, "element")
         if not 0 <= i < n:
             raise ValidationError(f"element {i} outside ground set of size {n}")
         mask |= 1 << i
@@ -60,19 +88,30 @@ def block_max_counts(masks: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
     return best
 
 
-def subset_sums(weights: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
+def doubling_halves(out: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The view pairs (out[:2^i], out[2^i : 2^(i+1)]) for i < n that
+    subset_sums reads and writes. A caller that fills one buffer with many
+    weight vectors builds them once and passes them to every call."""
+    return [(out[: 1 << i], out[1 << i : 2 << i]) for i in range(n)]
+
+
+def subset_sums(
+    weights: Sequence[float],
+    out: np.ndarray | None = None,
+    halves: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
     """lambda(S) = sum of weights[i] over i in S, for every mask S of
     len(weights) bits, by doubling: once bits below i are done,
     out[2^i : 2^(i+1)] = out[:2^i] + weights[i]. O(2^n) time in the one
     buffer `out` (allocated when not given); each sum adds its terms in
-    ascending bit order."""
+    ascending bit order. `halves`, if given, is doubling_halves(out, n)."""
     if out is None:
         out = np.empty(1 << len(weights))
+    if halves is None:
+        halves = doubling_halves(out, len(weights))
     out[0] = 0.0
-    k = 1
-    for w in weights:
-        np.add(out[:k], w, out=out[k : 2 * k])
-        k *= 2
+    for w, (low, high) in zip(weights, halves):
+        np.add(low, w, out=high)
     return out
 
 
@@ -233,22 +272,23 @@ class FacilityLocationCost(SetFunction):
             raise ValidationError("need at least one facility")
         if m > MAX_FACILITIES:
             raise SizeCapError(f"{m} facilities exceeds brute-force cap {MAX_FACILITIES}")
-        dist = np.asarray(distances, dtype=np.float64)
+        dist = as_real_array(distances, "distances")
         if dist.shape != (n, m):
             raise ValidationError(f"distances must be {n} clients x {m} facilities")
-        costs = np.asarray(open_costs, dtype=np.float64)
+        costs = as_real_array(open_costs, "open costs")
+        base_cost = as_real(base_cost, "base_cost")
         if not (np.isfinite(dist).all() and np.isfinite(costs).all() and np.isfinite(base_cost)):
             raise ValidationError("costs and distances must be finite")
         if np.any(dist < 0) or np.any(costs < 0):
             raise ValidationError("costs and distances must be nonnegative")
-        pre = frozenset(int(j) for j in pre_open)
+        pre = frozenset(as_int(j, "pre_open entry") for j in pre_open)
         if any(not 0 <= j < m for j in pre):
             raise ValidationError("pre_open facility index out of range")
-        self.open_costs = tuple(float(c) for c in open_costs)
+        self.open_costs = tuple(costs.tolist())
         self.distances = dist
         self.distances.flags.writeable = False
         self.pre_open = pre
-        self.base_cost = float(base_cost)
+        self.base_cost = base_cost
         self._closed = tuple(j for j in range(m) if j not in pre)
 
     def _open_sets(self):
@@ -274,8 +314,9 @@ class FacilityLocationCost(SetFunction):
         if table is None:
             table = np.full(1 << self.n, np.inf)
             sums = np.empty(1 << self.n)
+            halves = doubling_halves(sums, self.n)
             for open_cost, nearest in self._open_sets():
-                subset_sums(nearest, sums)
+                subset_sums(nearest, sums, halves)
                 sums += open_cost
                 np.minimum(table, sums, out=table)
             table[0] = 0.0  # serving nobody opens nothing
@@ -301,22 +342,30 @@ def function_from_json(data: dict) -> SetFunction:
         raise ValidationError("set-function JSON needs a 'type' field") from None
     try:
         if kind == "explicit":
-            f = TableFunction(data["values"])
-            if "n" in data and data["n"] != f.n:
+            try:
+                # array("d") refuses strings and null while converting at the
+                # speed of np.array(..., float), which would parse "1.5".
+                values = array.array("d", data["values"])
+            except TypeError:
+                raise ValidationError("explicit table entries must be numbers") from None
+            f = TableFunction(np.frombuffer(values))
+            if "n" in data and as_int(data["n"], "explicit n") != f.n:
                 raise ValidationError(
                     f"explicit table has {1 << f.n} values (n={f.n}) but declares n={data['n']!r}"
                 )
             return f
         if kind == "coverage_max":
-            return CoverageMax(int(data["n"]), data["partition"])
+            return CoverageMax(as_int(data["n"], "coverage_max n"), data["partition"])
         if kind == "two_stage_flow":
-            return TwoStageFlow(int(data["n"]), int(data["x"]))
+            return TwoStageFlow(
+                as_int(data["n"], "two_stage_flow n"), as_int(data["x"], "two_stage_flow x")
+            )
         if kind == "facility_location":
             return FacilityLocationCost(
                 data["open_costs"],
                 data["distances"],
                 data.get("pre_open", ()),
-                float(data.get("base_cost", 0.0)),
+                data.get("base_cost", 0.0),
             )
     except KeyError as exc:
         raise ValidationError(f"set-function JSON missing field {exc}") from None
@@ -384,7 +433,7 @@ class Instance:
     """A set function together with per-element marginal probabilities."""
 
     def __init__(self, function: SetFunction, marginals: Sequence[float]):
-        p = tuple(float(x) for x in marginals)
+        p = tuple(as_real(x, "marginal") for x in marginals)
         if len(p) != function.n:
             raise ValidationError(f"{len(p)} marginals for ground set of size {function.n}")
         for x in p:

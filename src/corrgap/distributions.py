@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_EXACT, SetFunction, SizeCapError, ValidationError
+from .core import MAX_EXACT, SetFunction, SizeCapError, ValidationError, elements_of
 from .rng import counter_uniforms
 
 NEG_PROB_EPS = 1e-12   # clamp floor for simplex output hygiene
@@ -47,12 +47,14 @@ class ScenarioDistribution:
         )
 
     def marginals(self) -> np.ndarray:
-        p = np.zeros(self.n)
+        """P(i in S) for each element i: each support entry's probability
+        added to the elements of its mask, in support order, as Python
+        floats (numpy scalar adds cost several times more)."""
+        p = [0.0] * self.n
         for mask, prob in self.support:
-            for i in range(self.n):
-                if mask >> i & 1:
-                    p[i] += prob
-        return p
+            for i in elements_of(mask):
+                p[i] += prob
+        return np.array(p)
 
     def expectation(self, f: SetFunction) -> float:
         if f.n != self.n:

@@ -16,6 +16,7 @@ from .core import (
     FacilityLocationCost,
     Instance,
     SetFunction,
+    SizeCapError,
     TableFunction,
     TwoStageFlow,
     ValidationError,
@@ -102,7 +103,8 @@ def threshold_instance(n: int = 3) -> Instance:
     """f(S) = 1 for nonempty S, marginals 1/n: the gap tends to e/(e-1)."""
     if not 1 <= n <= 16:
         raise ValidationError("threshold family is built for 1 <= n <= 16")
-    table = [0.0] + [1.0] * ((1 << n) - 1)
+    table = np.ones(1 << n)
+    table[0] = 0.0
     return Instance(TableFunction(table), [1.0 / n] * n)
 
 
@@ -570,6 +572,14 @@ def reproduction_facts() -> list[FactResult]:
 # seeded property batteries (condensed versions of the acceptance suites)
 
 _BATTERY_SEED = 20260809
+MAX_SCALE = 50  # each unit of scale adds ~60 ms of trials: ~3.2 s for the whole suite at 50
+
+
+def _check_scale(scale: int) -> None:
+    if scale < 1:
+        raise ValidationError(f"scale must be >= 1, got {scale}")
+    if scale > MAX_SCALE:
+        raise SizeCapError(f"scale {scale} exceeds cap {MAX_SCALE}")
 
 
 def _battery(name: str, trials: int, run_one: Callable[[int], bool]) -> FactResult:
@@ -578,9 +588,9 @@ def _battery(name: str, trials: int, run_one: Callable[[int], bool]) -> FactResu
 
 
 def property_facts(scale: int = 1) -> list[FactResult]:
-    """Seeded random-instance batteries; `scale` (>= 1) multiplies the trial counts."""
-    if scale < 1:
-        raise ValidationError(f"scale must be >= 1, got {scale}")
+    """Seeded random-instance batteries; `scale` (1..MAX_SCALE) multiplies
+    the trial counts."""
+    _check_scale(scale)
 
     def coverage_bound(t: int) -> bool:
         n = 3 + (t % 5)
@@ -636,6 +646,7 @@ def property_facts(scale: int = 1) -> list[FactResult]:
 
 def verification_report(scale: int = 1) -> dict:
     """The full reproduction suite as a JSON-ready report."""
+    _check_scale(scale)
     facts = reproduction_facts() + property_facts(scale)
     failed = [fact.name for fact in facts if not fact.passed]
     return {

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Instance, SetFunction, ValidationError, function_from_json
+from .core import Instance, SetFunction, ValidationError, as_real, function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
 from .worst_case import supermodular_worst_case, worst_case_lp
@@ -40,7 +40,7 @@ class DecisionSpace:
         for d in decisions:
             if d.function.n != n:
                 raise ValidationError("decisions disagree on the ground set size")
-        self.marginals = tuple(float(x) for x in marginals)
+        self.marginals = tuple(as_real(x, "marginal") for x in marginals)
         if len(self.marginals) != n:
             raise ValidationError(f"{len(self.marginals)} marginals for ground set of size {n}")
         self.decisions = tuple(decisions)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_EXACT, Instance, SizeCapError, subset_sums
+from .core import MAX_EXACT, Instance, SizeCapError, doubling_halves, subset_sums
 from .distributions import ScenarioDistribution
 
 LP_TOL = 1e-9          # pivot / reduced-cost tolerance
@@ -39,11 +39,25 @@ class SimplexStallError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class SimplexStats:
+    """What one simplex solve did: pivots taken, how many of them were
+    degenerate (step length <= tol), the pivot count at which Bland's rule
+    took over pricing (None if it never did), and refactorisations of the
+    basis inverse (periodic ones and those that confirm optimality)."""
+
+    pivots: int
+    degenerate_pivots: int
+    bland_at: int | None
+    refactors: int
+
+
+@dataclass(frozen=True)
 class WorstCaseResult:
     value: float
     distribution: ScenarioDistribution
     dual_gamma: float
     dual_lambda: tuple[float, ...]
+    stats: SimplexStats | None = None  # None for the closed form; not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -68,19 +82,29 @@ def prefix_masks(order) -> list[int]:
     return masks
 
 
+_SHIFTS = np.arange(MAX_EXACT)[:, None]  # bit i of a mask is mask >> _SHIFTS[i] & 1
+
+
 def _basis_matrix(basis: np.ndarray, n: int) -> np.ndarray:
     cols = np.ones((n + 1, len(basis)))
-    cols[:n] = np.asarray(basis)[None, :] >> np.arange(n)[:, None] & 1
+    cols[:n] = basis >> _SHIFTS[:n] & 1
     return cols
 
 
 def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     """Maximise values @ alpha over the marginal polytope; returns
-    (basis masks, basic solution, duals y) at optimality."""
+    (basis masks, basic solution, duals y, SimplexStats) at optimality.
+
+    Dantzig pricing (largest reduced cost) with the ratio test's near ties
+    broken by the smallest basic mask; after _BLAND_AFTER consecutive
+    degenerate pivots, Bland's rule (lowest improving mask) for the rest of
+    the solve. The basis inverse is refactored every _REFACTOR_EVERY pivots,
+    and once more before optimality is accepted if pivots were taken since."""
     n = len(p)
     b = np.append(p, 1.0)
-    bits = np.arange(n)
+    bits = _SHIFTS[:n, 0]
     reduced = np.empty(1 << n)
+    halves = doubling_halves(reduced, n)
     column = np.ones(n + 1)
 
     # The nested prefix sets of the p-descending order plus the empty set form
@@ -91,30 +115,33 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     x_b[x_b < 0] = 0.0
     c_b = values[basis]
 
-    bland = False
+    bland_at = None
     degenerate_streak = 0
+    degenerate = 0
     since_refactor = 0
-    iterations = 0
+    refactors = 0
+    pivots = 0
 
     def refactor():
-        nonlocal binv, x_b, since_refactor
+        nonlocal binv, x_b, since_refactor, refactors
         binv = np.linalg.inv(_basis_matrix(basis, n))
         x_b = binv @ b
         x_b[x_b < 0] = 0.0
         since_refactor = 0
+        refactors += 1
 
     while True:
-        if iterations > max_iter:
+        if pivots > max_iter:
             raise SimplexStallError(f"no optimum within {max_iter} pivots")
-        y = c_b @ binv
+        y = (c_b @ binv).tolist()
         # reduced[S] = f(S) - sum_{i in S} y_i - y_n, in the one 2^n buffer
-        subset_sums(y[:n], out=reduced)
+        subset_sums(y[:n], reduced, halves)
         np.subtract(values, reduced, out=reduced)
         reduced -= y[n]
-        if bland:
-            entering = int(np.argmax(reduced > tol))  # lowest improving index
+        if bland_at is None:
+            entering = int(reduced.argmax())
         else:
-            entering = int(np.argmax(reduced))
+            entering = int((reduced > tol).argmax())  # lowest improving index
         if reduced[entering] <= tol:
             if since_refactor:
                 refactor()
@@ -122,16 +149,18 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
             break
         column[:n] = entering >> bits & 1
         d = binv @ column
-        rows = np.flatnonzero(d > tol)
+        rows = (d > tol).nonzero()[0]
         if not len(rows):
             raise SimplexStallError("no pivot row found; tableau has drifted")
         ratios = x_b[rows] / d[rows]
         near = rows[ratios <= ratios.min() + tol]
-        leave = near[np.argmin(basis[near])]  # Bland tie-break
-        theta = x_b[leave] / d[leave]
+        # Bland tie-break: the smallest basic mask among the near rows
+        leave = int(near[0] if len(near) == 1 else near[basis[near].argmin()])
+        d_leave = d[leave]
+        theta = x_b[leave] / d_leave
 
-        pivot_row = binv[leave] / d[leave]
-        binv -= np.outer(d, pivot_row)
+        pivot_row = binv[leave] / d_leave
+        binv -= d[:, None] * pivot_row
         binv[leave] = pivot_row
         x_b -= theta * d
         x_b[leave] = theta
@@ -139,12 +168,13 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
         basis[leave] = entering
         c_b[leave] = values[entering]
 
-        iterations += 1
+        pivots += 1
         since_refactor += 1
         if theta <= tol:
+            degenerate += 1
             degenerate_streak += 1
-            if degenerate_streak >= _BLAND_AFTER:
-                bland = True
+            if degenerate_streak >= _BLAND_AFTER and bland_at is None:
+                bland_at = pivots
         else:
             degenerate_streak = 0
         if since_refactor >= _REFACTOR_EVERY:
@@ -155,7 +185,7 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     x_b = np.linalg.solve(B, b)
     x_b[x_b < 0] = 0.0
     y = np.linalg.solve(B.T, c_b)
-    return basis.tolist(), x_b, y
+    return basis.tolist(), x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
 
 
 def worst_case_lp(inst: Instance, tol: float = LP_TOL, max_iter: int | None = None) -> WorstCaseResult:
@@ -168,10 +198,11 @@ def worst_case_lp(inst: Instance, tol: float = LP_TOL, max_iter: int | None = No
     p = np.asarray(inst.marginals)
     if max_iter is None:
         max_iter = 50 * (1 << n)
-    basis, x_b, y = _simplex_max(values, p, tol, max_iter)
+    basis, x_b, y, stats = _simplex_max(values, p, tol, max_iter)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
     value = float(values[basis] @ x_b)
-    return WorstCaseResult(value, dist, float(y[n]), tuple(float(v) for v in y[:n]))
+    duals = y.tolist()
+    return WorstCaseResult(value, dist, duals[n], tuple(duals[:n]), stats)
 
 
 def supermodular_worst_case(inst: Instance) -> WorstCaseResult:

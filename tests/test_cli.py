@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from corrgap import instances
 from corrgap.cli import _build_parser, _load_source, main
 
 
@@ -418,6 +419,86 @@ class TestZeroDenominators:
         assert data["ratio_rounding_over_opt"] == 1.0 and data["ratio_opt_over_upper"] == 1.0
 
 
+EXPLICIT = {"type": "explicit", "n": 2, "values": [0, 1.5, 1, 2]}
+COVERAGE = {"type": "coverage_max", "n": 4, "partition": [[0, 1], [2, 3]]}
+TWO_STAGE = {"type": "two_stage_flow", "n": 4, "x": 3}
+FACILITY = {
+    "type": "facility_location",
+    "open_costs": [3, 1],
+    "distances": [[1, 5], [4, 1]],
+    "pre_open": [1],
+}
+
+
+def instance_with(function, marginals=None, **fields):
+    """An instance of `function` with some of its fields replaced."""
+    if marginals is None:
+        marginals = [0.5] * (function.get("n") or len(function["distances"]))
+    return {"function": {**function, **fields}, "marginals": marginals}
+
+
+class TestNumericFields:
+    """A string where a number is meant, and a float, string or bool where an
+    integer is meant, exit 2 instead of being converted."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            instance_with(EXPLICIT),
+            instance_with(COVERAGE),
+            instance_with(TWO_STAGE),
+            instance_with(FACILITY),
+            instance_with(FACILITY, base_cost=2.5),
+        ],
+        ids=["explicit", "coverage", "two-stage", "facility", "facility-base-cost"],
+    )
+    def test_well_typed_payloads_load(self, capsys, tmp_path, payload):
+        run_strict_json(capsys, tmp_path, payload, "gap")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            instance_with(EXPLICIT, values=["0", "1.5", "1", "2"]),
+            instance_with(EXPLICIT, n=2.0),
+            instance_with(EXPLICIT, marginals=["0.5", 0.5]),
+            instance_with(EXPLICIT, marginals=[True, 0.5]),
+            instance_with(COVERAGE, n=4.7),
+            instance_with(COVERAGE, partition=[[0, True], [2, 3]]),
+            instance_with(TWO_STAGE, n="4"),
+            instance_with(TWO_STAGE, x=2.9),
+            instance_with(TWO_STAGE, x=True),
+            instance_with(FACILITY, open_costs=["3", 1]),
+            instance_with(FACILITY, distances=[[1, "5"], [4, 1]]),
+            instance_with(FACILITY, base_cost="2"),
+            instance_with(FACILITY, pre_open=[1.0]),
+            {"marginals": ["0.5", 0.5], "decisions": [{"label": "a", "function": ZERO_TABLE}]},
+        ],
+        ids=[
+            "values-strings",
+            "explicit-n-float",
+            "marginals-string",
+            "marginals-bool",
+            "coverage-n-float",
+            "partition-bool",
+            "two-stage-n-string",
+            "two-stage-x-float",
+            "two-stage-x-bool",
+            "open-costs-string",
+            "distances-string",
+            "base-cost-string",
+            "pre-open-float",
+            "space-marginals-string",
+        ],
+    )
+    def test_wrong_type_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        command = "robust" if "decisions" in payload else "gap"
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "must be" in err
+
+
 class TestWelfarePlayersField:
     def write_case(self, tmp_path, players):
         path = tmp_path / "case.json"
@@ -471,6 +552,24 @@ class TestNumericFlagRanges:
     def test_verify_scale_below_one_exits_2(self, capsys, scale):
         code, out, err = run_cli(capsys, "verify", "--scale", scale)
         assert code == 2 and out == "" and "scale" in err
+
+    def test_verify_scale_at_cap_runs(self, capsys, monkeypatch):
+        def count_trials(name, trials, run_one):  # the trials are not run
+            return instances._fact(f"battery.{name}", trials, trials)
+
+        monkeypatch.setattr(instances, "_battery", count_trials)
+        data = run_json(capsys, "verify", "--scale", str(instances.MAX_SCALE))
+        trials = {fact["name"]: fact["expected"] for fact in data["facts"]}
+        assert trials["battery.coverage_gap_bound"] == 25 * instances.MAX_SCALE
+        assert data["passed"] is True
+
+    def test_verify_scale_above_cap_exits_3_before_any_work(self, capsys, monkeypatch):
+        def no_work():
+            raise AssertionError("reproduction facts ran")
+
+        monkeypatch.setattr(instances, "reproduction_facts", no_work)
+        code, out, err = run_cli(capsys, "verify", "--scale", str(instances.MAX_SCALE + 1))
+        assert code == 3 and out == "" and "scale" in err
 
 
 class TestParserReuse:

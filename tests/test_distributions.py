@@ -43,6 +43,19 @@ class TestMarginals:
         d = ScenarioDistribution(k * k, [(b, 1.0 / k) for b in blocks])
         assert np.allclose(d.marginals(), [1.0 / k] * (k * k))
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 16, 70])
+    def test_bitwise_equal_to_per_bit_adds(self, n):
+        rng = np.random.default_rng(n)
+        masks = [int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in range(n + 1)]
+        weights = rng.random(n + 1)
+        d = ScenarioDistribution(n, zip(masks, (weights / weights.sum()).tolist()))
+        expected = np.zeros(n)
+        for mask, prob in d.support:
+            for i in range(n):
+                if mask >> i & 1:
+                    expected[i] += prob
+        assert d.marginals().tobytes() == expected.tobytes()
+
 
 class TestExpectation:
     def test_normalisation(self):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from corrgap.core import ValidationError, is_monotone, is_submodular, is_supermodular
+from corrgap.core import SizeCapError, ValidationError, is_monotone, is_submodular, is_supermodular
 from corrgap.distributions import independent_expectation_exact
 from corrgap.gap import correlation_gap
 from corrgap.instances import (
+    MAX_SCALE,
     REGISTRY,
     build_builtin,
     coverage_partition_instance,
@@ -241,6 +242,10 @@ class TestReproductionSuite:
             property_facts(scale)
         with pytest.raises(ValidationError):
             verification_report(scale)
+
+    def test_scale_above_cap_rejected(self):
+        with pytest.raises(SizeCapError):
+            property_facts(MAX_SCALE + 1)
 
     def test_report_is_deterministic(self):
         a = verification_report()

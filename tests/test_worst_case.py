@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import corrgap.worst_case as wc
 from corrgap.core import Instance, SizeCapError, TableFunction, TwoStageFlow
 from corrgap.distributions import independent_expectation_exact
 from corrgap.instances import (
@@ -15,9 +18,12 @@ from corrgap.instances import (
     welfare_gap_case,
 )
 from corrgap.worst_case import (
+    LP_TOL,
     SimplexStallError,
+    SimplexStats,
     WorstCaseResult,
     descending_order,
+    prefix_masks,
     supermodular_worst_case,
     verify_certificate,
     worst_case_lp,
@@ -135,6 +141,181 @@ class TestWorstCaseLP:
         data = worst_case_lp(threshold_instance(2)).to_json()
         assert set(data) == {"value", "distribution", "gamma", "lambda"}
         assert set(data["distribution"]["support"][0]) == {"mask", "p"}
+
+
+def reference_basis_matrix(basis, n):
+    cols = np.ones((n + 1, len(basis)))
+    cols[:n] = np.asarray(basis)[None, :] >> np.arange(n)[:, None] & 1
+    return cols
+
+
+def reference_simplex_max(values, p, tol=LP_TOL, max_iter=None):
+    """The scenario-LP simplex as a plain loop over whole-array numpy calls:
+    Dantzig pricing, ratio-test ties to the smallest basic mask, Bland's rule
+    after wc._BLAND_AFTER consecutive degenerate pivots, a refactor every
+    wc._REFACTOR_EVERY pivots and before accepting optimality. It counts what
+    it did the way SimplexStats defines it. worst_case._simplex_max must take
+    the same pivots with the same float operations."""
+    n = len(p)
+    if max_iter is None:
+        max_iter = 50 * (1 << n)
+    b = np.append(p, 1.0)
+    bits = np.arange(n)
+    reduced = np.empty(1 << n)
+    column = np.ones(n + 1)
+    basis = np.array([0] + prefix_masks(descending_order(p)))
+    binv = np.linalg.inv(reference_basis_matrix(basis, n))
+    x_b = binv @ b
+    x_b[x_b < 0] = 0.0
+    c_b = values[basis]
+    bland_at = None
+    streak = degenerate = since_refactor = refactors = pivots = 0
+
+    def refactor():
+        nonlocal binv, x_b, since_refactor, refactors
+        binv = np.linalg.inv(reference_basis_matrix(basis, n))
+        x_b = binv @ b
+        x_b[x_b < 0] = 0.0
+        since_refactor = 0
+        refactors += 1
+
+    while True:
+        if pivots > max_iter:
+            raise SimplexStallError(f"no optimum within {max_iter} pivots")
+        y = c_b @ binv
+        reduced[0] = 0.0
+        k = 1
+        for w in y[:n]:
+            np.add(reduced[:k], w, out=reduced[k : 2 * k])
+            k *= 2
+        np.subtract(values, reduced, out=reduced)
+        reduced -= y[n]
+        if bland_at is not None:
+            entering = int(np.argmax(reduced > tol))
+        else:
+            entering = int(np.argmax(reduced))
+        if reduced[entering] <= tol:
+            if since_refactor:
+                refactor()
+                continue
+            break
+        column[:n] = entering >> bits & 1
+        d = binv @ column
+        rows = np.flatnonzero(d > tol)
+        if not len(rows):
+            raise SimplexStallError("no pivot row found; tableau has drifted")
+        ratios = x_b[rows] / d[rows]
+        near = rows[ratios <= ratios.min() + tol]
+        leave = near[np.argmin(basis[near])]
+        theta = x_b[leave] / d[leave]
+        pivot_row = binv[leave] / d[leave]
+        binv -= np.outer(d, pivot_row)
+        binv[leave] = pivot_row
+        x_b -= theta * d
+        x_b[leave] = theta
+        np.maximum(x_b, 0.0, out=x_b)
+        basis[leave] = entering
+        c_b[leave] = values[entering]
+        pivots += 1
+        since_refactor += 1
+        if theta <= tol:
+            degenerate += 1
+            streak += 1
+            if streak >= wc._BLAND_AFTER and bland_at is None:
+                bland_at = pivots
+        else:
+            streak = 0
+        if since_refactor >= wc._REFACTOR_EVERY:
+            refactor()
+    B = reference_basis_matrix(basis, n)
+    x_b = np.linalg.solve(B, b)
+    x_b[x_b < 0] = 0.0
+    y = np.linalg.solve(B.T, c_b)
+    return basis.tolist(), x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
+
+
+def assert_same_solve(inst):
+    """worst_case_lp equals the reference loop bit for bit: basis order, x,
+    y and the solve counts."""
+    values, p, n = inst.function.values(), np.asarray(inst.marginals), inst.n
+    basis, x_b, y, stats = reference_simplex_max(values, p)
+    lean_basis, lean_x, lean_y, lean_stats = wc._simplex_max(values, p, LP_TOL, 50 * (1 << n))
+    assert lean_basis == basis
+    assert lean_x.tobytes() == x_b.tobytes()
+    assert lean_y.tobytes() == y.tobytes()
+    result = worst_case_lp(inst)
+    assert lean_stats == stats == result.stats
+    assert (result.dual_gamma, *result.dual_lambda) == (y[n], *y[:n])
+    return stats
+
+
+SMALL_PIVOT_CONSTANTS = pytest.mark.parametrize(
+    "bland_after, refactor_every", [(wc._BLAND_AFTER, wc._REFACTOR_EVERY), (1, 3)]
+)
+
+
+def drawn_instance(kind, n, seed, uniform):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        table = rng.random(1 << n)
+    elif kind == "few-valued":
+        table = rng.integers(0, 3, 1 << n).astype(float)
+    else:
+        table = np.ones(1 << n)
+        table[0] = 0.0
+    p = [1.0 / n] * n if uniform else rng.random(n).tolist()
+    return Instance(TableFunction(table), p)
+
+
+class TestLeanSimplexMatchesReference:
+    @SMALL_PIVOT_CONSTANTS
+    @given(
+        kind=st.sampled_from(["random", "few-valued", "threshold"]),
+        n=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        uniform=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_tables(self, bland_after, refactor_every, kind, n, seed, uniform):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wc, "_BLAND_AFTER", bland_after)
+            mp.setattr(wc, "_REFACTOR_EVERY", refactor_every)
+            assert_same_solve(drawn_instance(kind, n, seed, uniform))
+
+    @SMALL_PIVOT_CONSTANTS
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: coverage_partition_instance(4),
+            lambda: threshold_instance(16),
+            lambda: drawn_instance("random", 16, 16, uniform=False),
+        ],
+        ids=["example2-k4", "example3-n16", "random-n16"],
+    )
+    def test_n16_instances(self, monkeypatch, bland_after, refactor_every, make):
+        monkeypatch.setattr(wc, "_BLAND_AFTER", bland_after)
+        monkeypatch.setattr(wc, "_REFACTOR_EVERY", refactor_every)
+        assert_same_solve(make())
+
+    def test_small_constants_reach_bland_and_refactors(self, monkeypatch):
+        monkeypatch.setattr(wc, "_BLAND_AFTER", 1)
+        monkeypatch.setattr(wc, "_REFACTOR_EVERY", 3)
+        stats = assert_same_solve(coverage_partition_instance(3))
+        assert stats.bland_at is not None
+        assert stats.refactors >= stats.pivots // 3
+
+
+class TestSimplexStats:
+    def test_counts_on_a_degenerate_lp(self):
+        stats = worst_case_lp(coverage_partition_instance(3)).stats
+        assert stats.pivots >= stats.degenerate_pivots > 0
+        assert stats.bland_at is None
+
+    def test_stats_stay_out_of_json(self):
+        result = worst_case_lp(threshold_instance(3))
+        assert result.stats.pivots > 0
+        assert "stats" not in result.to_json()
+        assert supermodular_worst_case(square_instance()).stats is None
 
 
 class TestSupermodularClosedForm:
