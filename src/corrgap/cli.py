@@ -2,9 +2,9 @@
 
 Commands: gap | worst-case | robust | welfare | split-verify | certify-scheme
 | verify | list-instances. Exit codes: 0 success, 1 verification failures,
-2 validation error, 3 size-cap exceeded. Output is JSON (canonical) or a
-flattened CSV projection, byte-identical across runs for a fixed config and
-seed.
+2 validation error, 3 size-cap exceeded, 4 the simplex stalled. Output is
+JSON (canonical) or a flattened CSV projection, byte-identical across runs
+for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .instances import REGISTRY, WelfareCase, build_builtin, verification_report
 from .robust import DecisionSpace, approximation_ratio
 from .split import verify_split_properties
 from .welfare import welfare_report
-from .worst_case import LP_TOL, CERT_TOL, verify_certificate, worst_case_lp
+from .worst_case import LP_TOL, CERT_TOL, SimplexStallError, verify_certificate, worst_case_lp
 
 EXIT_OK = 0
 EXIT_FACT_FAILURES = 1
 EXIT_VALIDATION = 2
 EXIT_SIZE_CAP = 3
+EXIT_SOLVER = 4
 
 
 def _add_source_args(sub: argparse.ArgumentParser):
@@ -322,6 +323,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
+    except SimplexStallError as exc:
+        print(f"solver: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ n <= 16, Monte Carlo with a seeded counter RNG beyond that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -20,8 +21,9 @@ SUM_TOL = 1e-9
 
 class ScenarioDistribution:
     """Distribution with finite support {(mask, probability)} over subsets of
-    a ground set of size n. Probabilities are clamped at -1e-12, entries below
-    1e-12 dropped, duplicates merged; the total must be 1 within 1e-9."""
+    a ground set of size n. Probabilities must be finite; they are clamped at
+    -1e-12, entries below 1e-12 dropped, duplicates merged; the total must be
+    1 within 1e-9."""
 
     def __init__(self, n: int, support: Iterable[tuple[int, float]]):
         if not 1 <= n:
@@ -35,6 +37,8 @@ class ScenarioDistribution:
             prob = float(prob)
             if not 0 <= mask <= full:
                 raise ValidationError(f"mask {mask} out of range for n={n}")
+            if not math.isfinite(prob):
+                raise ValidationError(f"probability {prob} for mask {mask} is not finite")
             if prob < -NEG_PROB_EPS:
                 raise ValidationError(f"negative probability {prob} for mask {mask}")
             prob = max(prob, 0.0)

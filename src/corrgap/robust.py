@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Instance, SetFunction, ValidationError, as_real, function_from_json
+from .core import Instance, SetFunction, ValidationError, as_bool, as_real, function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
 from .worst_case import supermodular_worst_case, worst_case_lp
@@ -62,7 +62,7 @@ class DecisionSpace:
                 Decision(
                     str(entry["label"]),
                     function_from_json(entry["function"]),
-                    bool(entry.get("supermodular", False)),
+                    as_bool(entry.get("supermodular", False), "decision supermodular flag"),
                 )
                 for entry in data["decisions"]
             ]

@@ -11,15 +11,17 @@ order. Both report the dual (gamma, lambda), machine-checkable via
 verify_certificate.
 
 The column of scenario S is its indicator vector plus a trailing 1, so the
-constraint matrix is never stored: pricing computes every reduced cost
-f(S) - lambda(S) - gamma at once from the subset sums lambda(S) of the
-current duals (core.subset_sums, O(2^n) time), and the entering column is
-rebuilt from the bits of its mask. Memory is one 2^n buffer beyond the
-table of f, and the certificate scan prices the same way.
+constraint matrix is never stored: pricing computes every f(S) - lambda(S)
+at once from the subset sums lambda(S) of the current duals
+(core.subset_sums, O(2^n) time), takes its argmax, and subtracts gamma from
+the winner alone whenever rounding cannot tie another entry to it; the
+entering column is rebuilt from the bits of its mask. Memory is one 2^n
+buffer beyond the table of f, and the certificate scan prices the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +136,27 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
         if pivots > max_iter:
             raise SimplexStallError(f"no optimum within {max_iter} pivots")
         y = (c_b @ binv).tolist()
-        # reduced[S] = f(S) - sum_{i in S} y_i - y_n, in the one 2^n buffer
+        y_n = y[n]
+        # reduced[S] = f(S) - sum_{i in S} y_i, in the one 2^n buffer
         subset_sums(y[:n], reduced, halves)
         np.subtract(values, reduced, out=reduced)
-        reduced -= y[n]
-        if bland_at is None:
-            entering = int(reduced.argmax())
+        # Rounding is monotone, so the first argmax of f - lambda is the
+        # first argmax of f - lambda - y_n unless a smaller entry rounds onto
+        # the top once y_n is taken off; the next float below the top is the
+        # one that would. Then y_n comes off the winner alone. NaN and inf
+        # fail the test and take the full pass, as Bland's rule always does.
+        entering = int(reduced.argmax())
+        top = reduced.item(entering)
+        if bland_at is None and math.nextafter(top, -math.inf) - y_n < top - y_n:
+            best = top - y_n
         else:
-            entering = int((reduced > tol).argmax())  # lowest improving index
-        if reduced[entering] <= tol:
+            reduced -= y_n
+            if bland_at is None:
+                entering = int(reduced.argmax())
+            else:
+                entering = int((reduced > tol).argmax())  # lowest improving index
+            best = reduced.item(entering)
+        if best <= tol:
             if since_refactor:
                 refactor()
                 continue  # confirm optimality against a fresh factorisation
@@ -260,10 +274,11 @@ def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CER
     if abs(result.distribution.expectation(inst.function) - result.value) > tol:
         return False
 
+    # max over S of f(S) - lambda(S) - gamma, with gamma taken off the max
+    # alone: rounding is monotone, so the two agree exactly
     excess = subset_sums(lam)
     np.subtract(inst.function.values(), excess, out=excess)
-    excess -= result.dual_gamma
-    if np.max(excess) > tol:
+    if excess.max() - result.dual_gamma > tol:
         return False
 
     return abs(result.dual_gamma + float(p @ lam) - result.value) <= tol

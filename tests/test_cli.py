@@ -437,6 +437,12 @@ def instance_with(function, marginals=None, **fields):
     return {"function": {**function, **fields}, "marginals": marginals}
 
 
+def space_with_flag(flag):
+    """A one-decision space whose decision carries `"supermodular": flag`."""
+    decision = {"label": "a", "function": ZERO_TABLE, "supermodular": flag}
+    return {"marginals": [0.5, 0.5], "decisions": [decision]}
+
+
 class TestNumericFields:
     """A string where a number is meant, and a float, string or bool where an
     integer is meant, exit 2 instead of being converted."""
@@ -455,6 +461,11 @@ class TestNumericFields:
     def test_well_typed_payloads_load(self, capsys, tmp_path, payload):
         run_strict_json(capsys, tmp_path, payload, "gap")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_supermodular_flag_loads(self, capsys, tmp_path, flag):
+        data = run_strict_json(capsys, tmp_path, space_with_flag(flag), "robust")
+        assert data["chain_ok"] is True
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -472,6 +483,9 @@ class TestNumericFields:
             instance_with(FACILITY, base_cost="2"),
             instance_with(FACILITY, pre_open=[1.0]),
             {"marginals": ["0.5", 0.5], "decisions": [{"label": "a", "function": ZERO_TABLE}]},
+            space_with_flag("false"),
+            space_with_flag(1),
+            space_with_flag(None),
         ],
         ids=[
             "values-strings",
@@ -488,6 +502,9 @@ class TestNumericFields:
             "base-cost-string",
             "pre-open-float",
             "space-marginals-string",
+            "supermodular-string",
+            "supermodular-int",
+            "supermodular-null",
         ],
     )
     def test_wrong_type_exits_2(self, capsys, tmp_path, payload):
@@ -631,3 +648,28 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kappa"] == pytest.approx(4 / 3, abs=1e-9)
+
+
+class TestSolverStall:
+    """A simplex stall ends in one `solver:` line and exit 4, not a traceback.
+    The stall is injected: a real one takes seconds of pivots."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worst-case", "--builtin", "example3", "--n", "3"],
+            ["gap", "--builtin", "example2", "--k", "2"],
+            ["robust", "--builtin", "example1"],
+        ],
+        ids=["worst-case", "gap", "robust"],
+    )
+    def test_stall_exits_4_with_one_line(self, capsys, monkeypatch, argv):
+        import corrgap.worst_case as wc
+
+        def stall(values, p, tol, max_iter):
+            raise wc.SimplexStallError(f"no optimum within {max_iter} pivots")
+
+        monkeypatch.setattr(wc, "_simplex_max", stall)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("solver: no optimum within ") and err.count("\n") == 1

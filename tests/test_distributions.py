@@ -136,6 +136,14 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             ScenarioDistribution(2, [(0, 1.1), (1, -0.1)])
 
+    def test_nan_beside_a_full_mass_rejected(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            ScenarioDistribution(2, [(0, float("nan")), (1, 1.0)])
+
+    def test_nan_alone_rejected(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            ScenarioDistribution(2, [(0, float("nan"))])
+
     def test_tiny_negative_clamped_and_tiny_dropped(self):
         d = ScenarioDistribution(2, [(0, 1.0), (1, -1e-13), (2, 1e-13)])
         assert d.support == ((0, 1.0),)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import corrgap.worst_case as wc
-from corrgap.core import Instance, SizeCapError, TableFunction, TwoStageFlow
+from corrgap.core import Instance, SizeCapError, TableFunction, TwoStageFlow, subset_sums
 from corrgap.distributions import independent_expectation_exact
 from corrgap.instances import (
     coverage_partition_instance,
@@ -297,12 +297,86 @@ class TestLeanSimplexMatchesReference:
         monkeypatch.setattr(wc, "_REFACTOR_EVERY", refactor_every)
         assert_same_solve(make())
 
+    @SMALL_PIVOT_CONSTANTS
+    def test_pricing_falls_through_on_a_drawn_table(self, monkeypatch, bland_after, refactor_every):
+        # Pricing takes its full pass (y_n off every entry) at pivots 0, 1
+        # and 4 of this 8-pivot solve under both constant pairs, before any
+        # degenerate pivot, so the full pass is pinned here bit for bit.
+        monkeypatch.setattr(wc, "_BLAND_AFTER", bland_after)
+        monkeypatch.setattr(wc, "_REFACTOR_EVERY", refactor_every)
+        stats = assert_same_solve(drawn_instance("random", 6, 46, uniform=False))
+        assert stats.pivots == 8 and stats.bland_at is None
+
+    @SMALL_PIVOT_CONSTANTS
+    def test_rounding_tie_enters_the_first_column(self, monkeypatch, bland_after, refactor_every):
+        # The starting basis {}, {0}, {0,1}, {0,1,2} prices with lambda =
+        # (1000, 0, 0) and y_n = -1000. Then f - lambda peaks at mask 4 (1.0),
+        # but 1 - 2^-50 at mask 2 rounds onto the same f - lambda - y_n = 1001,
+        # so the reference enters mask 2: the first argmax after y_n is taken.
+        table = [-1000.0, 0.0, 1 - 2**-50, 0.0, 1.0, 0.0, 0.0, 0.0]
+        reduced = np.array(table) - np.array([0, 1000, 0, 1000, 0, 1000, 0, 1000])
+        assert (reduced.argmax(), (reduced + 1000).argmax()) == (4, 2)
+        monkeypatch.setattr(wc, "_BLAND_AFTER", bland_after)
+        monkeypatch.setattr(wc, "_REFACTOR_EVERY", refactor_every)
+        inst = Instance(TableFunction(table), (0.9, 0.5, 0.3))
+        assert_same_solve(inst)
+        assert 2 in dict(worst_case_lp(inst).distribution.support)
+
     def test_small_constants_reach_bland_and_refactors(self, monkeypatch):
         monkeypatch.setattr(wc, "_BLAND_AFTER", 1)
         monkeypatch.setattr(wc, "_REFACTOR_EVERY", 3)
         stats = assert_same_solve(coverage_partition_instance(3))
         assert stats.bland_at is not None
         assert stats.refactors >= stats.pivots // 3
+
+
+def four_sweep_verify(inst, result, tol):
+    """verify_certificate with gamma taken off every scenario's excess before
+    the max, as the certificate scan used to price."""
+    p = np.asarray(inst.marginals)
+    lam = np.asarray(result.dual_lambda)
+    dist = result.distribution
+    if np.max(np.abs(dist.marginals() - p)) > tol:
+        return False
+    if abs(sum(prob for _, prob in dist.support) - 1.0) > tol:
+        return False
+    if abs(dist.expectation(inst.function) - result.value) > tol:
+        return False
+    excess = inst.function.values() - subset_sums(lam)
+    excess -= result.dual_gamma
+    if np.max(excess) > tol:
+        return False
+    return abs(result.dual_gamma + float(p @ lam) - result.value) <= tol
+
+
+class TestCertificateScanMatchesFourSweeps:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_honest_and_bogus(self, seed):
+        inst = drawn_instance("random", 3 + seed, seed, uniform=False)
+        honest = worst_case_lp(inst)
+        gamma = honest.dual_gamma - 1e-3
+        bogus = WorstCaseResult(honest.value, honest.distribution, gamma, honest.dual_lambda)
+        for result, expected in ((honest, True), (bogus, False)):
+            old = four_sweep_verify(inst, result, wc.CERT_TOL)
+            assert verify_certificate(inst, result) is old is expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_largest_excess_at_tol_and_one_ulp_either_side(self, seed):
+        inst = drawn_instance("random", 3 + seed, 100 + seed, uniform=False)
+        honest = worst_case_lp(inst)
+        # Trade gamma against lambda_0 so that the objective holds but some
+        # scenario without element 0 now exceeds its dual by about 1e-4.
+        shift = 1e-4 / inst.marginals[0]
+        lam = (honest.dual_lambda[0] + shift, *honest.dual_lambda[1:])
+        gamma = honest.dual_gamma - shift * inst.marginals[0]
+        moved = WorstCaseResult(honest.value, honest.distribution, gamma, lam)
+        excess = inst.function.values() - subset_sums(np.asarray(lam))
+        excess -= gamma
+        largest = float(excess.max())
+        tols = [np.nextafter(largest, -np.inf), largest, np.nextafter(largest, np.inf)]
+        verdicts = [verify_certificate(inst, moved, tol) for tol in tols]
+        assert verdicts == [four_sweep_verify(inst, moved, tol) for tol in tols]
+        assert verdicts == [False, True, True]
 
 
 class TestSimplexStats:
