@@ -24,7 +24,7 @@ from .instances import REGISTRY, WelfareCase, build_builtin, verification_report
 from .robust import DecisionSpace, approximation_ratio
 from .split import verify_split_properties
 from .welfare import welfare_report
-from .worst_case import LP_TOL, CERT_TOL, SimplexStallError, verify_certificate, worst_case_lp
+from .worst_case import SimplexStallError, verify_certificate, worst_case_lp
 
 EXIT_OK = 0
 EXIT_FACT_FAILURES = 1
@@ -47,7 +47,7 @@ def _add_output_args(sub: argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """The type of the --tol-* flags: a finite float >= 0."""
+    """The type of the --tol-check flag: a finite float >= 0."""
     value = float(text)
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
@@ -73,13 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--samples", type=int, help="Monte Carlo the independent leg (needs --seed)")
     gap.add_argument("--eta", type=float, help="declared summability constant for the bound")
     gap.add_argument("--beta", type=float, help="declared budget-balance constant for the bound")
-    gap.add_argument("--tol-lp", type=_tolerance, default=LP_TOL)
 
     wc = subs.add_parser("worst-case", help="worst-case distribution LP with dual certificate")
     _add_source_args(wc)
     _add_output_args(wc)
-    wc.add_argument("--tol-lp", type=_tolerance, default=LP_TOL)
-    wc.add_argument("--tol-check", type=_tolerance, default=CERT_TOL)
 
     robust = subs.add_parser("robust", help="robust vs independent decisions over a space")
     _add_source_args(robust)
@@ -220,7 +217,7 @@ def _emit(payload: dict, args) -> None:
 
 def _cmd_gap(args) -> int:
     inst = _as_instance(_load_source(args))
-    report = correlation_gap(inst, eta=args.eta, beta=args.beta, lp_tol=args.tol_lp)
+    report = correlation_gap(inst, eta=args.eta, beta=args.beta)
     payload = report.to_json()
     if args.samples is not None:
         if args.seed is None:
@@ -233,9 +230,9 @@ def _cmd_gap(args) -> int:
 
 def _cmd_worst_case(args) -> int:
     inst = _as_instance(_load_source(args))
-    result = worst_case_lp(inst, tol=args.tol_lp)
+    result = worst_case_lp(inst)
     payload = result.to_json()
-    payload["certified"] = verify_certificate(inst, result, tol=args.tol_check)
+    payload["certified"] = verify_certificate(inst, result)
     _emit(payload, args)
     return EXIT_OK
 

@@ -8,10 +8,9 @@ from dataclasses import asdict, dataclass
 
 from .core import Instance, ValidationError
 from .distributions import independent_expectation_exact
-from .worst_case import LP_TOL, worst_case_lp
+from .worst_case import worst_case_lp
 
 GAP_BOUND_CONSTANT = math.e / (math.e - 1.0)
-_ZERO_EPS = 1e-12
 BOUND_TOL = 1e-6
 
 
@@ -30,10 +29,11 @@ class GapReport:
 
 def safe_ratio(numerator: float, denominator: float) -> float | None:
     """numerator / denominator, except that a zero denominator gives 1.0 when
-    the numerator is zero too and None otherwise -- never NaN."""
-    if denominator > _ZERO_EPS or denominator < -_ZERO_EPS:
+    the numerator is zero too and None otherwise -- never NaN. Only an exact
+    zero counts: a small number is a value in small units, not a zero."""
+    if denominator != 0.0:
         return numerator / denominator
-    return 1.0 if abs(numerator) <= _ZERO_EPS else None
+    return 1.0 if numerator == 0.0 else None
 
 
 def theoretical_bound(eta: float, beta: float) -> float:
@@ -47,14 +47,13 @@ def correlation_gap(
     inst: Instance,
     eta: float | None = None,
     beta: float | None = None,
-    lp_tol: float = LP_TOL,
 ) -> GapReport:
     """kappa = L/I with L from the scenario LP and I by exact enumeration.
 
     When I is zero the ratio has no value: for the all-zero case (L also zero)
     kappa is reported as 1, otherwise as undefined -- never as NaN.
     """
-    worst = worst_case_lp(inst, tol=lp_tol).value
+    worst = worst_case_lp(inst).value
     indep = independent_expectation_exact(inst.function, inst.marginals)
     kappa = safe_ratio(worst, indep)
 

@@ -10,7 +10,7 @@ from typing import Sequence
 from .core import Instance, SetFunction, ValidationError, as_bool, as_real, function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
-from .worst_case import supermodular_worst_case, worst_case_lp
+from .worst_case import supermodular_worst_case, unit_scale, worst_case_lp
 
 CLOSED_FORM_TOL = 1e-6
 _CHAIN_TOL = 1e-9
@@ -73,14 +73,15 @@ class DecisionSpace:
 
 def evaluate_g(space: DecisionSpace, decision: Decision | int) -> float:
     """Worst-case expected cost of one decision. Decisions flagged supermodular
-    use the closed form, cross-checked against the LP."""
+    use the closed form, cross-checked against the LP to CLOSED_FORM_TOL in
+    units of unit_scale(f)."""
     if isinstance(decision, int):
         decision = space.decisions[decision]
     inst = space.instance_for(decision)
     if decision.supermodular:
         closed = supermodular_worst_case(inst).value
         lp = worst_case_lp(inst).value
-        if abs(closed - lp) > CLOSED_FORM_TOL:
+        if abs(closed - lp) > CLOSED_FORM_TOL * unit_scale(decision.function.values()):
             raise ValidationError(
                 f"closed form {closed} and LP {lp} disagree for decision "
                 f"{decision.label!r}; the supermodular flag looks wrong"

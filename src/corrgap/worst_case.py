@@ -17,6 +17,12 @@ at once from the subset sums lambda(S) of the current duals
 the winner alone whenever rounding cannot tie another entry to it; the
 entering column is rebuilt from the bits of its mask. Memory is one 2^n
 buffer beyond the table of f, and the certificate scan prices the same way.
+
+Results do not depend on the units of f. The simplex runs on f / 2^e, where
+2^e = unit_scale(f) brings max|f| into [0.5, 1), so its tolerances compare
+like with like at every scale; dividing by a power of two is exact, and a
+table already in [0.5, 1) is solved as given. The certificate's checks in
+the units of f scale their tolerance by the same 2^e.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .core import MAX_EXACT, Instance, SizeCapError, doubling_halves, subset_sums
 from .distributions import ScenarioDistribution
 
-LP_TOL = 1e-9          # pivot / reduced-cost tolerance
+LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / unit_scale(f)
 CERT_TOL = 1e-6
 _BLAND_AFTER = 25      # consecutive degenerate pivots before switching pricing
 _REFACTOR_EVERY = 100
@@ -91,6 +97,15 @@ def _basis_matrix(basis: np.ndarray, n: int) -> np.ndarray:
     cols = np.ones((n + 1, len(basis)))
     cols[:n] = basis >> _SHIFTS[:n] & 1
     return cols
+
+
+def unit_scale(values: np.ndarray) -> float:
+    """The power of two 2^e with max|f| / 2^e in [0.5, 1), with e capped at
+    1023 so that it never overflows; 1.0 when f is identically zero."""
+    top = max(values.max(), -values.min())
+    if top == 0.0:
+        return 1.0
+    return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
 
 
 def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
@@ -202,9 +217,9 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     return basis.tolist(), x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
 
 
-def worst_case_lp(inst: Instance, tol: float = LP_TOL, max_iter: int | None = None) -> WorstCaseResult:
+def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResult:
     """Optimal value, an optimal basic distribution (support <= n+1), and the
-    optimal dual of the scenario LP."""
+    optimal dual of the scenario LP, solved on f / unit_scale(f)."""
     n = inst.n
     if n > MAX_EXACT:
         raise SizeCapError(f"scenario LP needs n <= {MAX_EXACT}, got {n}")
@@ -212,10 +227,12 @@ def worst_case_lp(inst: Instance, tol: float = LP_TOL, max_iter: int | None = No
     p = np.asarray(inst.marginals)
     if max_iter is None:
         max_iter = 50 * (1 << n)
-    basis, x_b, y, stats = _simplex_max(values, p, tol, max_iter)
+    scale = unit_scale(values)
+    scaled = values if scale == 1.0 else values / scale
+    basis, x_b, y, stats = _simplex_max(scaled, p, LP_TOL, max_iter)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
     value = float(values[basis] @ x_b)
-    duals = y.tolist()
+    duals = (y * scale).tolist()
     return WorstCaseResult(value, dist, duals[n], tuple(duals[:n]), stats)
 
 
@@ -260,25 +277,29 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
 
 def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CERT_TOL) -> bool:
     """Primal feasibility, dual feasibility over all 2^n scenarios, and
-    primal-dual objective equality, each within tol."""
+    primal-dual objective equality. The two probability checks are within
+    tol; the expectation, dual and objective checks, in the units of f, are
+    within tol * unit_scale(f)."""
     n = inst.n
     if n > MAX_EXACT:
         raise SizeCapError(f"certificate scan needs n <= {MAX_EXACT}, got {n}")
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
+    values = inst.function.values()
+    tol_f = tol * unit_scale(values)
 
     if np.max(np.abs(result.distribution.marginals() - p)) > tol:
         return False
     if abs(sum(prob for _, prob in result.distribution.support) - 1.0) > tol:
         return False
-    if abs(result.distribution.expectation(inst.function) - result.value) > tol:
+    if abs(result.distribution.expectation(inst.function) - result.value) > tol_f:
         return False
 
     # max over S of f(S) - lambda(S) - gamma, with gamma taken off the max
     # alone: rounding is monotone, so the two agree exactly
     excess = subset_sums(lam)
-    np.subtract(inst.function.values(), excess, out=excess)
-    if excess.max() - result.dual_gamma > tol:
+    np.subtract(values, excess, out=excess)
+    if excess.max() - result.dual_gamma > tol_f:
         return False
 
-    return abs(result.dual_gamma + float(p @ lam) - result.value) <= tol
+    return abs(result.dual_gamma + float(p @ lam) - result.value) <= tol_f

@@ -537,12 +537,9 @@ class TestWelfarePlayersField:
         assert data["independent_value"] == pytest.approx(0.75, abs=1e-12)
 
 
-TOLERANCE_FLAGS = [
-    ("gap", "--tol-lp"),
-    ("worst-case", "--tol-lp"),
-    ("worst-case", "--tol-check"),
-    ("certify-scheme", "--tol-check"),
-]
+TOLERANCE_FLAGS = [("certify-scheme", "--tol-check")]
+# The scenario LP and its certificate take their scale from f, so these went.
+DELETED_FLAGS = [("gap", "--tol-lp"), ("worst-case", "--tol-lp"), ("worst-case", "--tol-check")]
 
 
 class TestNumericFlagRanges:
@@ -558,6 +555,14 @@ class TestNumericFlagRanges:
     @pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
     def test_zero_tolerance_accepted(self, capsys, command, flag):
         run_json(capsys, command, "--builtin", "example3", "--n", "3", flag, "0")
+
+    @pytest.mark.parametrize("command,flag", DELETED_FLAGS)
+    def test_deleted_tolerance_flag_is_unknown(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--builtin", "example3", "--n", "3", flag, "1e-9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
 
     @pytest.mark.parametrize("flag", ["--eta", "--beta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -637,6 +642,47 @@ class TestParserReuse:
         fresh = self.fresh_process("--help", COLUMNS="100")
         assert fresh.returncode == 0
         assert out == fresh.stdout and "certify-scheme" in out
+
+
+def scaled_table(values, s):
+    return {"type": "explicit", "values": (np.asarray(values) * s).tolist()}
+
+
+class TestUnitsOfF:
+    """Commands give the same answers whatever the units of f."""
+
+    def test_worst_case_on_a_1e8_table_certifies(self, capsys, tmp_path):
+        # at absolute LP tolerances this table stalled after 51 200 pivots
+        rng = np.random.default_rng(2)
+        table, p = rng.random(1 << 10), rng.uniform(0.1, 0.9, 10)
+        payload = {"function": scaled_table(table, 1e8), "marginals": p.tolist()}
+        data = run_strict_json(capsys, tmp_path, payload, "worst-case")
+        assert data["certified"] is True
+
+    def test_gap_on_a_1e_13_table_keeps_kappa(self, capsys, tmp_path):
+        inst = instances.threshold_instance(3)
+        function = scaled_table(inst.function.values(), 1e-13)
+        payload = {"function": function, "marginals": list(inst.marginals)}
+        data = run_strict_json(capsys, tmp_path, payload, "gap")
+        assert data["kappa"] == pytest.approx(27 / 19, rel=1e-9)
+
+    def test_robust_closed_form_check_at_1e12(self, capsys, tmp_path):
+        # the closed form and the LP differ by 2^-10 here: rounding at 1e12
+        inst = instances.random_supermodular_instance(2, 6)
+        function = scaled_table(inst.function.values(), 1e12)
+        decision = {"label": "s", "function": function, "supermodular": True}
+        space = {"marginals": list(inst.marginals), "decisions": [decision]}
+        data = run_strict_json(capsys, tmp_path, space, "robust")
+        assert data["x_R"] == "s" and data["chain_ok"] is True
+
+    def test_robust_wrong_flag_at_1e12_exits_2(self, capsys, tmp_path):
+        inst = instances.threshold_instance(3)  # submodular, not supermodular
+        function = scaled_table(inst.function.values(), 1e12)
+        decision = {"label": "t", "function": function, "supermodular": True}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"marginals": list(inst.marginals), "decisions": [decision]}))
+        code, out, err = run_cli(capsys, "robust", "--instance", str(path))
+        assert code == 2 and out == "" and "supermodular flag looks wrong" in err
 
 
 class TestConsoleEntry:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgap.core import Instance, TableFunction, ValidationError
-from corrgap.gap import GAP_BOUND_CONSTANT, correlation_gap, theoretical_bound
+from corrgap.gap import GAP_BOUND_CONSTANT, correlation_gap, safe_ratio, theoretical_bound
 from corrgap.instances import (
     random_coverage_instance,
     threshold_instance,
@@ -62,6 +62,23 @@ class TestUndefinedHandling:
         assert report.independent_value == pytest.approx(0.0, abs=1e-12)
         assert report.worst_value == pytest.approx(1.0, abs=1e-9)
         assert report.undefined and report.kappa is None
+
+
+class TestSafeRatio:
+    def test_only_exact_zeros_count(self):
+        assert safe_ratio(0.0, 0.0) == 1.0
+        assert safe_ratio(-0.0, 0.0) == 1.0
+        assert safe_ratio(1e-300, 0.0) is None
+        assert safe_ratio(1e-300, 1e-300) == 1.0
+        assert safe_ratio(0.0, 1e-300) == 0.0
+
+    @pytest.mark.parametrize("s", [1e-13, 1e-300])
+    def test_kappa_of_a_small_scale_table(self, s):
+        # an absolute zero test read I = 19/27 s as zero below 1e-12
+        inst = threshold_instance(3)
+        scaled = Instance(TableFunction(inst.function.values() * s), inst.marginals)
+        report = correlation_gap(scaled)
+        assert report.kappa == pytest.approx(27 / 19, rel=1e-9) and not report.undefined
 
 
 class TestBound:

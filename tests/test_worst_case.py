@@ -25,6 +25,7 @@ from corrgap.worst_case import (
     descending_order,
     prefix_masks,
     supermodular_worst_case,
+    unit_scale,
     verify_certificate,
     worst_case_lp,
 )
@@ -141,6 +142,121 @@ class TestWorstCaseLP:
         data = worst_case_lp(threshold_instance(2)).to_json()
         assert set(data) == {"value", "distribution", "gamma", "lambda"}
         assert set(data["distribution"]["support"][0]) == {"mask", "p"}
+
+
+def scale_table(seed):
+    """A seeded random n=10 table in [0, 1) with marginals in [0.1, 0.9]."""
+    rng = np.random.default_rng(seed)
+    return rng.random(1 << 10), rng.uniform(0.1, 0.9, 10)
+
+
+class TestUnitScale:
+    @pytest.mark.parametrize(
+        "values, scale",
+        [
+            ([0.0, 0.0], 1.0),
+            ([0.5, 0.0], 1.0),
+            ([0.0, 1 - 2**-53], 1.0),
+            ([1.0, 0.25], 2.0),
+            ([-3.0, 2.0], 4.0),
+            ([0.1, -0.2], 0.25),
+            ([1e308, 0.0], 2.0**1023),
+            ([-1.7e308, 1.7e308], 2.0**1023),
+            ([5e-324, 0.0], 2.0**-1073),
+        ],
+    )
+    def test_power_of_two_bringing_max_abs_into_half_to_one(self, values, scale):
+        assert unit_scale(np.array(values)) == scale
+
+    def test_power_of_two_scaling_is_exact(self):
+        # dividing by a power of two is exact, so the solve at 2^k f is the
+        # solve at f with every value and dual multiplied by 2^k
+        table, p = scale_table(0)
+        base = worst_case_lp(Instance(TableFunction(table), p))
+        for k in (-1000, -40, 1, 40, 1000):
+            result = worst_case_lp(Instance(TableFunction(table * 2.0**k), p))
+            assert result.stats == base.stats
+            assert result.distribution.support == base.distribution.support
+            assert result.value == base.value * 2.0**k
+            assert result.dual_gamma == base.dual_gamma * 2.0**k
+            assert result.dual_lambda == tuple(v * 2.0**k for v in base.dual_lambda)
+
+
+class TestScaleFree:
+    """L, the pivots and the certificate do not depend on the units of f.
+    With tolerances absolute in the units of f, the solve stalled for
+    s >= 1e8, read L low for s <= 1e-9 and certified a zero certificate
+    there. max_iter keeps a regression from stalling for seconds."""
+
+    @pytest.mark.parametrize(
+        "s", [1e-12, 1e-9, 1e-6, 1e3, 1e6, 1e8, 1e9, 1e12, 1e-300, 1e300, 2.0**1000]
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scaled_table_solves_and_certifies(self, seed, s):
+        table, p = scale_table(seed)
+        base = worst_case_lp(Instance(TableFunction(table), p), max_iter=5000)
+        inst = Instance(TableFunction(table * s), p)
+        result = worst_case_lp(inst, max_iter=5000)
+        assert result.stats.pivots == base.stats.pivots
+        assert abs(result.value - s * base.value) <= 1e-12 * s * base.value
+        assert verify_certificate(inst, result)
+        bogus = WorstCaseResult(0.0, result.distribution, 0.0, (0.0,) * inst.n)
+        assert not verify_certificate(inst, bogus)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        log_a=st.floats(-12.0, 12.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_affine_map_of_f(self, seed, n, log_a, shift):
+        # L(a f + c) = a L(f) + c, since every distribution has total mass 1
+        rng = np.random.default_rng(seed)
+        table, p = rng.random(1 << n), rng.uniform(0.05, 0.95, n)
+        a = 10.0**log_a
+        c = a * shift
+        base = worst_case_lp(Instance(TableFunction(table), p), max_iter=5000).value
+        moved = worst_case_lp(Instance(TableFunction(a * table + c), p), max_iter=5000).value
+        assert abs(moved - (a * base + c)) <= 1e-9 * a * (1.0 + abs(shift))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), log_a=st.floats(-12.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_relabelling_elements(self, seed, n, log_a):
+        # element i becomes element perm[i] in f's masks and in p alike
+        rng = np.random.default_rng(seed)
+        a = 10.0**log_a
+        table, p = a * rng.random(1 << n), rng.uniform(0.05, 0.95, n)
+        perm = rng.permutation(n)
+        masks = np.arange(1 << n)
+        relabelled = sum(((masks >> i) & 1) << int(perm[i]) for i in range(n))
+        moved_table = np.empty_like(table)
+        moved_table[relabelled] = table
+        moved_p = np.empty_like(p)
+        moved_p[perm] = p
+        base = worst_case_lp(Instance(TableFunction(table), p), max_iter=5000).value
+        moved = worst_case_lp(Instance(TableFunction(moved_table), moved_p), max_iter=5000).value
+        assert abs(moved - base) <= 1e-9 * a
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_highs_on_scaled_tables(self, n, s):
+        bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+        a_eq = np.vstack([bits, np.ones(1 << n)])
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * n + seed)
+            table, p = rng.random(1 << n), rng.uniform(0.1, 0.9, n)
+            b_eq = np.append(p, 1.0)
+            # HiGHS's feasibility tolerances are absolute (1e-7), so below
+            # s = 1 it solves the unit table and its optimum is scaled by s
+            cost = table * s if s > 1 else table
+            highs = linprog(-cost, A_eq=a_eq, b_eq=b_eq, method="highs-ds")
+            assert highs.status == 0
+            expected = -highs.fun if s > 1 else -highs.fun * s
+            inst = Instance(TableFunction(table * s), p)
+            result = worst_case_lp(inst, max_iter=5000)
+            assert abs(result.value - expected) <= 1e-9 * s
+            assert verify_certificate(inst, result)
 
 
 def reference_basis_matrix(basis, n):
