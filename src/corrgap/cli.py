@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Sequence
 
 from .core import Instance, SizeCapError, ValidationError, function_from_json
-from .cost_sharing import SHARE_TOL, certify, incremental_scheme
+from .cost_sharing import certify, incremental_scheme
 from .distributions import independent_expectation_mc
 from .gap import correlation_gap
 from .instances import REGISTRY, WelfareCase, build_builtin, verification_report
@@ -44,14 +43,6 @@ def _add_source_args(sub: argparse.ArgumentParser):
 def _add_output_args(sub: argparse.ArgumentParser):
     sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _tolerance(text: str) -> float:
-    """The type of the --tol-check flag: a finite float >= 0."""
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
 
 
 @functools.cache
@@ -96,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cert = subs.add_parser("certify-scheme", help="certify the incremental scheme on an instance")
     _add_source_args(cert)
     _add_output_args(cert)
-    cert.add_argument("--tol-check", type=_tolerance, default=SHARE_TOL)
 
     verify = subs.add_parser("verify", help="run the full reproduction suite")
     verify.add_argument("--all", action="store_true", help="run everything (the default)")
@@ -273,7 +263,7 @@ def _cmd_split_verify(args) -> int:
 
 def _cmd_certify_scheme(args) -> int:
     inst = _as_instance(_load_source(args))
-    result = certify(incremental_scheme(inst.function), inst.function, tol=args.tol_check)
+    result = certify(incremental_scheme(inst.function), inst.function)
     _emit(result.to_json(), args)
     return EXIT_OK
 

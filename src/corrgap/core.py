@@ -8,6 +8,7 @@ i is in the subset; explicit tables are indexed by that mask value.
 from __future__ import annotations
 
 import array
+import math
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ MAX_GROUND = 24        # oracle evaluation cap
 MAX_EXACT = 16         # full-enumeration engines work on at most 2^16 scenarios
 MAX_SUBADDITIVE = 12   # subadditivity scans all pairs of subsets
 MAX_FACILITIES = 12    # facility-location evaluation brute-forces open subsets
-CHECK_TOL = 1e-9
+CHECK_TOL = 1e-9       # relative to unit_scale(f)
 
 
 class ValidationError(ValueError):
@@ -384,15 +385,26 @@ def function_from_json(data: dict) -> SetFunction:
     raise ValidationError(f"unknown set-function type {kind!r}")
 
 
-def _checker_table(f: SetFunction, cap: int) -> np.ndarray:
+def unit_scale(values: np.ndarray) -> float:
+    """The power of two 2^e with max|f| / 2^e in [0.5, 1), with e capped at
+    1023 so that it never overflows; 1.0 when f is identically zero."""
+    top = max(values.max(), -values.min())
+    if top == 0.0:
+        return 1.0
+    return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
+
+
+def _checker_table(f: SetFunction, cap: int, tol: float) -> tuple[np.ndarray, float]:
+    """f's table and tol in the units of f: tol * unit_scale(f)."""
     if f.n > cap:
         raise SizeCapError(f"exhaustive check needs n <= {cap}, got {f.n}")
-    return f.values()
+    v = f.values()
+    return v, tol * unit_scale(v)
 
 
 def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """f(S) <= f(S + i) + tol for every S and i not in S."""
-    v = _checker_table(f, MAX_EXACT)
+    """f(S) <= f(S + i) + tol * unit_scale(f) for every S and i not in S."""
+    v, tol = _checker_table(f, MAX_EXACT, tol)
     masks = np.arange(1 << f.n)
     for i in range(f.n):
         bit = 1 << i
@@ -403,9 +415,9 @@ def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
 
 
 def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
-    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - tol for i != j,
-    S avoiding both; sign is +1 for submodular, -1 for supermodular."""
-    v = _checker_table(f, MAX_EXACT)
+    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - tol * unit_scale(f)
+    for i != j, S avoiding both; sign is +1 for submodular, -1 for supermodular."""
+    v, tol = _checker_table(f, MAX_EXACT, tol)
     masks = np.arange(1 << f.n)
     for i in range(f.n):
         bi = 1 << i
@@ -418,18 +430,19 @@ def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
 
 
 def is_submodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """Diminishing marginals: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for i != j, S avoiding both."""
+    """Diminishing marginals: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for i != j,
+    S avoiding both, within tol * unit_scale(f)."""
     return _exchange_holds(f, 1.0, tol)
 
 
 def is_supermodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """Increasing marginals (the reversed inequality of is_submodular)."""
+    """Increasing marginals: is_submodular's inequality reversed, within tol * unit_scale(f)."""
     return _exchange_holds(f, -1.0, tol)
 
 
 def is_subadditive(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """f(S | T) <= f(S) + f(T) + tol over all pairs of subsets."""
-    v = _checker_table(f, MAX_SUBADDITIVE)
+    """f(S | T) <= f(S) + f(T) + tol * unit_scale(f) over all pairs of subsets."""
+    v, tol = _checker_table(f, MAX_SUBADDITIVE, tol)
     masks = np.arange(1 << f.n)
     for s in range(1 << f.n):
         if np.any(v[masks | s] > v[s] + v[masks] + tol):

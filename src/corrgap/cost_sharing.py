@@ -24,11 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SetFunction, SizeCapError, ValidationError
+from .core import CHECK_TOL, SetFunction, SizeCapError, ValidationError, unit_scale
 from .split import SplitMap
 
 CERTIFY_CAP = 6  # enumerates all subsets and all orderings of each
-SHARE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,10 @@ def _max_fold(acc: float, candidates: np.ndarray) -> float:
     return float(greater.max()) if greater.size else acc
 
 
-def certify(scheme: CostShareScheme, f: SetFunction, tol: float = SHARE_TOL) -> CertificationResult:
+def certify(scheme: CostShareScheme, f: SetFunction, tol: float = CHECK_TOL) -> CertificationResult:
     """Smallest budget-balance and weak-summability constants of the scheme on
     f, plus exhaustive cross-monotonicity, over all subsets and orderings.
+    Shares and costs are compared within tol * unit_scale(f).
 
     One `scheme.shares` batch per set size k covers all C(n, k)·k! orderings.
     Totals and prefix totals add shares in ordering position order, one
@@ -206,6 +206,7 @@ def certify(scheme: CostShareScheme, f: SetFunction, tol: float = SHARE_TOL) -> 
     n = f.n
     levels, masks, restrictions = _enumeration(n)
     values = f.values()
+    tol *= unit_scale(values)
 
     shares, totals, prefix_totals = [], [], []
     prefix_total = np.zeros(1)
@@ -272,12 +273,13 @@ def lift_scheme(scheme: CostShareScheme, split_map: SplitMap) -> CostShareScheme
 
 
 def partial_prefix_cross_monotone(
-    scheme: CostShareScheme, split_map: SplitMap, tol: float = SHARE_TOL
+    scheme: CostShareScheme, split_map: SplitMap, tol: float = CHECK_TOL
 ) -> bool:
     """Cross-monotonicity of a lifted scheme restricted to the orderings that
     respect the split's block order (higher labels first) and to pairs
     S' <= T' where S' sits in the early blocks and the added elements in the
-    late ones (S' a partial prefix of T').
+    late ones (S' a partial prefix of T'). The scheme's f is never seen, so
+    tol is in the units of the shares.
 
     Runs on `certify`'s plan: one `scheme.shares` batch per set size over the
     block-respecting orderings (labels never increase along the row). A

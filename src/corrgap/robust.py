@@ -7,13 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Instance, SetFunction, ValidationError, as_bool, as_real, function_from_json
+from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_bool, as_real, function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
 from .worst_case import supermodular_worst_case, unit_scale, worst_case_lp
 
 CLOSED_FORM_TOL = 1e-6
-_CHAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class RobustSolveReport:
 def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     """Full report: both argmins (ties to the first decision), g at the
     independent decision, the ratio g(x_I)/g(x_R), and a numeric check of
-    g(x_R) >= E_I(x_R) >= E_I(x_I)."""
+    g(x_R) >= E_I(x_R) >= E_I(x_I) within CHECK_TOL * max unit_scale(f) of the two."""
     g_values = [evaluate_g(space, d) for d in space.decisions]
     indep_values = [independent_expectation_exact(d.function, space.marginals) for d in space.decisions]
 
@@ -124,9 +123,11 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
 
     g_robust = g_values[robust_idx]
     g_indep = g_values[indep_idx]
+    pair = (space.decisions[robust_idx], space.decisions[indep_idx])
+    tol = CHECK_TOL * max(unit_scale(d.function.values()) for d in pair)
     chain_ok = (
-        g_robust >= indep_values[robust_idx] - _CHAIN_TOL
-        and indep_values[robust_idx] >= indep_values[indep_idx] - _CHAIN_TOL
+        g_robust >= indep_values[robust_idx] - tol
+        and indep_values[robust_idx] >= indep_values[indep_idx] - tol
     )
     return RobustSolveReport(
         x_robust=space.decisions[robust_idx].label,

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    CHECK_TOL,
     MAX_GROUND,
     Instance,
     SetFunction,
@@ -22,6 +23,7 @@ from .core import (
 )
 from .distributions import ScenarioDistribution
 from .gap import correlation_gap
+from .worst_case import CERT_TOL, unit_scale
 
 MAX_SPLIT_VERIFY = 14  # property verification runs the LP twice on 2^{n'} columns
 
@@ -158,16 +160,12 @@ class SplitPropertiesReport:
         return {**asdict(self), "all_passed": self.all_passed}
 
 
-def verify_split_properties(
-    inst: Instance,
-    counts: Sequence[int],
-    worst_tol: float = 1e-6,
-    indep_tol: float = 1e-9,
-    kappa_tol: float = 1e-6,
-) -> SplitPropertiesReport:
+def verify_split_properties(inst: Instance, counts: Sequence[int]) -> SplitPropertiesReport:
     """Exact check, via correlation_gap on both sides, that splitting a
     monotone instance preserves monotonicity and the worst-case value and never
-    increases the independent expectation (hence never shrinks the gap). An
+    increases the independent expectation (hence never shrinks the gap). The
+    worst-case values agree within CERT_TOL and the independent ones within
+    CHECK_TOL, times unit_scale(f); kappa, unit-free, within 1e-6. An
     undefined gap (L/0) compares equal only to another undefined gap."""
     if not is_monotone(inst.function):
         raise ValidationError("split property verification expects a monotone function")
@@ -183,15 +181,16 @@ def verify_split_properties(
     if before.kappa is None or after.kappa is None:
         kappa_non_decreasing = before.kappa == after.kappa
     else:
-        kappa_non_decreasing = after.kappa >= before.kappa - kappa_tol
+        kappa_non_decreasing = after.kappa >= before.kappa - 1e-6
+    scale = unit_scale(inst.function.values())
     return SplitPropertiesReport(
         monotone_preserved=monotone_preserved,
         worst_before=before.worst_value,
         worst_after=after.worst_value,
-        worst_equal=abs(before.worst_value - after.worst_value) <= worst_tol,
+        worst_equal=abs(before.worst_value - after.worst_value) <= CERT_TOL * scale,
         indep_before=before.independent_value,
         indep_after=after.independent_value,
-        indep_non_increasing=after.independent_value <= before.independent_value + indep_tol,
+        indep_non_increasing=after.independent_value <= before.independent_value + CHECK_TOL * scale,
         kappa_before=before.kappa,
         kappa_after=after.kappa,
         kappa_non_decreasing=kappa_non_decreasing,

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_EXACT, Instance, SizeCapError, doubling_halves, subset_sums
+from .core import MAX_EXACT, Instance, SizeCapError, ValidationError, doubling_halves
+from .core import subset_sums, unit_scale
 from .distributions import ScenarioDistribution
 
 LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / unit_scale(f)
@@ -97,15 +98,6 @@ def _basis_matrix(basis: np.ndarray, n: int) -> np.ndarray:
     cols = np.ones((n + 1, len(basis)))
     cols[:n] = basis >> _SHIFTS[:n] & 1
     return cols
-
-
-def unit_scale(values: np.ndarray) -> float:
-    """The power of two 2^e with max|f| / 2^e in [0.5, 1), with e capped at
-    1023 so that it never overflows; 1.0 when f is identically zero."""
-    top = max(values.max(), -values.min())
-    if top == 0.0:
-        return 1.0
-    return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
 
 
 def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
@@ -219,7 +211,8 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
 
 def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResult:
     """Optimal value, an optimal basic distribution (support <= n+1), and the
-    optimal dual of the scenario LP, solved on f / unit_scale(f)."""
+    optimal dual of the scenario LP, solved on f / unit_scale(f). A subnormal
+    f is refused: its values sit on a grid too coarse to certify."""
     n = inst.n
     if n > MAX_EXACT:
         raise SizeCapError(f"scenario LP needs n <= {MAX_EXACT}, got {n}")
@@ -228,6 +221,8 @@ def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResul
     if max_iter is None:
         max_iter = 50 * (1 << n)
     scale = unit_scale(values)
+    if scale <= 2.0**-1022:
+        raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
     scaled = values if scale == 1.0 else values / scale
     basis, x_b, y, stats = _simplex_max(scaled, p, LP_TOL, max_iter)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))

@@ -190,15 +190,15 @@ def test_criterion_07_welfare_rounding():
 
 def test_criterion_08_split_properties():
     """100 random monotone instances (n <= 5, counts <= 3): monotonicity is
-    preserved, |dL| <= 1e-6, dI <= 1e-9, and kappa never drops by more than
-    1e-6 under splitting."""
+    preserved, |dL| <= 1e-6 and dI <= 1e-9 times unit_scale(f), and kappa
+    never drops by more than 1e-6 under splitting."""
     passed = 0
     for t in range(100):
         rng = SplitMix64(SEED + 3000 + t)
         n = 2 + rng.randrange(4)
         inst = random_monotone_instance(SEED + 4000 + t, n)
         counts = [1 + rng.randrange(3) for _ in range(n)]
-        rep = verify_split_properties(inst, counts, worst_tol=1e-6, indep_tol=1e-9, kappa_tol=1e-6)
+        rep = verify_split_properties(inst, counts)
         passed += rep.all_passed
     ok = passed == 100
     report(8, ok, f"passed={passed}/100")

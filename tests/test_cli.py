@@ -537,25 +537,16 @@ class TestWelfarePlayersField:
         assert data["independent_value"] == pytest.approx(0.75, abs=1e-12)
 
 
-TOLERANCE_FLAGS = [("certify-scheme", "--tol-check")]
-# The scenario LP and its certificate take their scale from f, so these went.
-DELETED_FLAGS = [("gap", "--tol-lp"), ("worst-case", "--tol-lp"), ("worst-case", "--tol-check")]
+# Every check takes its scale from f, so the tolerance flags went.
+DELETED_FLAGS = [
+    ("gap", "--tol-lp"),
+    ("worst-case", "--tol-lp"),
+    ("worst-case", "--tol-check"),
+    ("certify-scheme", "--tol-check"),
+]
 
 
 class TestNumericFlagRanges:
-    @pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_tolerance_not_finite_and_nonnegative_exits_2(self, capsys, command, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--builtin", "example3", "--n", "3", flag, value])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "finite and >= 0" in captured.err
-
-    @pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
-    def test_zero_tolerance_accepted(self, capsys, command, flag):
-        run_json(capsys, command, "--builtin", "example3", "--n", "3", flag, "0")
-
     @pytest.mark.parametrize("command,flag", DELETED_FLAGS)
     def test_deleted_tolerance_flag_is_unknown(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -648,15 +639,19 @@ def scaled_table(values, s):
     return {"type": "explicit", "values": (np.asarray(values) * s).tolist()}
 
 
+def seeded_n10_instance(seed, s):
+    """A seeded random n=10 table in [0, 1) times s, marginals in [0.1, 0.9]."""
+    rng = np.random.default_rng(seed)
+    table, p = rng.random(1 << 10), rng.uniform(0.1, 0.9, 10)
+    return {"function": scaled_table(table, s), "marginals": p.tolist()}
+
+
 class TestUnitsOfF:
     """Commands give the same answers whatever the units of f."""
 
     def test_worst_case_on_a_1e8_table_certifies(self, capsys, tmp_path):
         # at absolute LP tolerances this table stalled after 51 200 pivots
-        rng = np.random.default_rng(2)
-        table, p = rng.random(1 << 10), rng.uniform(0.1, 0.9, 10)
-        payload = {"function": scaled_table(table, 1e8), "marginals": p.tolist()}
-        data = run_strict_json(capsys, tmp_path, payload, "worst-case")
+        data = run_strict_json(capsys, tmp_path, seeded_n10_instance(2, 1e8), "worst-case")
         assert data["certified"] is True
 
     def test_gap_on_a_1e_13_table_keeps_kappa(self, capsys, tmp_path):
@@ -674,6 +669,29 @@ class TestUnitsOfF:
         space = {"marginals": list(inst.marginals), "decisions": [decision]}
         data = run_strict_json(capsys, tmp_path, space, "robust")
         assert data["x_R"] == "s" and data["chain_ok"] is True
+
+    @pytest.mark.parametrize("s", [1e12, 1e-12])
+    def test_certify_scheme_on_a_scaled_coverage_table(self, capsys, tmp_path, s):
+        # absolute tolerances read cross_monotone False at 1e12, eta_star 0 at 1e-12
+        inst = instances.random_coverage_instance(3, 4)
+        function = scaled_table(inst.function.values(), s)
+        payload = {"function": function, "marginals": list(inst.marginals)}
+        data = run_strict_json(capsys, tmp_path, payload, "certify-scheme")
+        assert data["cross_monotone"] is True and data["budget_upper_ok"] is True
+        assert data["eta_star"] == pytest.approx(1.0, rel=1e-12)
+        assert data["beta_star"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_worst_case_on_a_1e_300_table_certifies(self, capsys, tmp_path):
+        data = run_strict_json(capsys, tmp_path, seeded_n10_instance(0, 1e-300), "worst-case")
+        assert data["certified"] is True
+
+    def test_worst_case_on_a_subnormal_table_exits_2(self, capsys, tmp_path):
+        # at 1e-320 the float grid is too coarse for L: the certificate failed
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(seeded_n10_instance(0, 1e-320)))
+        code, out, err = run_cli(capsys, "worst-case", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: f is subnormal") and err.count("\n") == 1
 
     def test_robust_wrong_flag_at_1e12_exits_2(self, capsys, tmp_path):
         inst = instances.threshold_instance(3)  # submodular, not supermodular

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import corrgap.worst_case as wc
-from corrgap.core import Instance, SizeCapError, TableFunction, TwoStageFlow, subset_sums
+from corrgap.core import (
+    Instance,
+    SizeCapError,
+    TableFunction,
+    TwoStageFlow,
+    ValidationError,
+    subset_sums,
+)
 from corrgap.distributions import independent_expectation_exact
 from corrgap.instances import (
     coverage_partition_instance,
@@ -202,6 +209,18 @@ class TestScaleFree:
         assert verify_certificate(inst, result)
         bogus = WorstCaseResult(0.0, result.distribution, 0.0, (0.0,) * inst.n)
         assert not verify_certificate(inst, bogus)
+
+    @pytest.mark.parametrize("top", [5e-324, 1e-320, -1e-320, 2.0**-1022 - 2.0**-1074])
+    def test_subnormal_table_refused(self, top):
+        with pytest.raises(ValidationError, match="subnormal"):
+            worst_case_lp(Instance(TableFunction([0.0, top]), [0.5]))
+
+    @pytest.mark.parametrize("top", [0.0, 2.0**-1022, -(2.0**-1022)])
+    def test_zero_and_smallest_normal_tables_solve(self, top):
+        inst = Instance(TableFunction([0.0, top]), [0.5])
+        result = worst_case_lp(inst)
+        assert result.value == top / 2
+        assert verify_certificate(inst, result)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
