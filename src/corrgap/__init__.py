@@ -32,7 +32,6 @@ from .distributions import (
     ScenarioDistribution,
     independent_expectation_exact,
     independent_expectation_mc,
-    product_distribution,
 )
 from .gap import GAP_BOUND_CONSTANT, GapReport, correlation_gap, theoretical_bound
 from .robust import (

@@ -123,14 +123,6 @@ def independent_expectation_exact(f: SetFunction, p: Sequence[float]) -> float:
     return _dot(_product_weights(f.n, p), f.values())
 
 
-def product_distribution(n: int, p: Sequence[float]) -> ScenarioDistribution:
-    """The independent distribution materialised over all 2^n scenarios."""
-    if n > MAX_EXACT:
-        raise SizeCapError(f"cannot materialise 2^{n} scenarios")
-    weights = _product_weights(n, p)
-    return ScenarioDistribution(n, list(enumerate(weights.tolist())))
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     estimate: float
@@ -142,7 +134,8 @@ class MCEstimate:
         return asdict(self)
 
 
-_MC_CHUNK = 1 << 15
+_MC_CHUNK = 1 << 15  # samples per sum and _dot: fixes the estimate's rounding
+_MC_BLOCK = 1 << 11  # samples per uniform draw: 2^11 * n floats stay in cache
 
 
 def independent_expectation_mc(
@@ -152,6 +145,9 @@ def independent_expectation_mc(
 
     Sample j consumes counter positions j*n..j*n+n-1 of the seed's stream, so
     the estimate is a pure function of (seed, samples) and shards merge exactly.
+    Uniforms are drawn _MC_BLOCK samples at a time; each block's inclusion
+    bits fill the low n columns of a 64-column bool block, which packbits
+    turns into one little-endian uint64 mask per sample.
     """
     p = np.asarray(p, dtype=np.float64)
     if len(p) != f.n:
@@ -159,15 +155,20 @@ def independent_expectation_mc(
     if samples < 1:
         raise ValidationError("need at least one sample")
     n = f.n
+    bits = np.zeros((_MC_BLOCK, 64), dtype=bool)
+    mask_buffer = np.empty(min(_MC_CHUNK, samples), dtype=np.uint64)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         chunk = min(_MC_CHUNK, samples - done)
-        u = counter_uniforms(seed, done * n, chunk * n).reshape(chunk, n)
-        masks = np.zeros(chunk, dtype=np.int64)
-        for i in range(n):
-            masks |= (u[:, i] < p[i]).astype(np.int64) << i
+        masks = mask_buffer[:chunk]
+        for start in range(0, chunk, _MC_BLOCK):
+            size = min(_MC_BLOCK, chunk - start)
+            u = counter_uniforms(seed, (done + start) * n, size * n).reshape(size, n)
+            np.less(u, p, out=bits[:size, :n])
+            packed = np.packbits(bits[:size], axis=1, bitorder="little")
+            masks[start : start + size] = packed.view("<u8")[:, 0]
         vals = f.values_at(masks)
         total += float(vals.sum())
         total_sq += _dot(vals, vals)

@@ -1,18 +1,22 @@
 """Outer minimisation over a finite decision space: g(x) = worst-case expected
 cost of decision x, the robust and independent argmins, and the ratio
-g(x_I) / g(x_R) with the sandwich chain g(x_R) >= E_I(x_R) >= E_I(x_I)."""
+g(x_I) / g(x_R) with the sandwich chain g(x_R) >= E_I(x_R) >= E_I(x_I).
+
+The product distribution has the decisions' common marginals, so
+E_I(x) <= g(x) for every x: the robust argmin skips the scenario LP of any
+unflagged decision whose E_I already lies above the least g found so far.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_bool, as_real, function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
-from .worst_case import supermodular_worst_case, unit_scale, worst_case_lp
-
-CLOSED_FORM_TOL = 1e-6
+from .worst_case import CERT_TOL, supermodular_worst_case, unit_scale, verify_certificate, worst_case_lp
 
 
 @dataclass(frozen=True)
@@ -71,21 +75,20 @@ class DecisionSpace:
 
 
 def evaluate_g(space: DecisionSpace, decision: Decision | int) -> float:
-    """Worst-case expected cost of one decision. Decisions flagged supermodular
-    use the closed form, cross-checked against the LP to CLOSED_FORM_TOL in
-    units of unit_scale(f)."""
+    """Worst-case expected cost of one decision. A decision flagged
+    supermodular takes the closed form, accepted only if its greedy dual
+    passes verify_certificate; any other decision solves the scenario LP."""
     if isinstance(decision, int):
         decision = space.decisions[decision]
     inst = space.instance_for(decision)
     if decision.supermodular:
-        closed = supermodular_worst_case(inst).value
-        lp = worst_case_lp(inst).value
-        if abs(closed - lp) > CLOSED_FORM_TOL * unit_scale(decision.function.values()):
+        closed = supermodular_worst_case(inst)
+        if not verify_certificate(inst, closed):
             raise ValidationError(
-                f"closed form {closed} and LP {lp} disagree for decision "
+                f"closed form {closed.value} fails its certificate for decision "
                 f"{decision.label!r}; the supermodular flag looks wrong"
             )
-        return closed
+        return closed.value
     return worst_case_lp(inst).value
 
 
@@ -114,25 +117,42 @@ class RobustSolveReport:
 def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     """Full report: both argmins (ties to the first decision), g at the
     independent decision, the ratio g(x_I)/g(x_R), and a numeric check of
-    g(x_R) >= E_I(x_R) >= E_I(x_I) within CHECK_TOL * max unit_scale(f) of the two."""
-    g_values = [evaluate_g(space, d) for d in space.decisions]
-    indep_values = [independent_expectation_exact(d.function, space.marginals) for d in space.decisions]
+    g(x_R) >= E_I(x_R) >= E_I(x_I) within CHECK_TOL * max unit_scale(f) of the two.
 
-    robust_idx = min(range(len(g_values)), key=lambda k: (g_values[k], k))
-    indep_idx = min(range(len(indep_values)), key=lambda k: (indep_values[k], k))
+    Decisions are visited by ascending (E_I, index), x_I first. x_I and
+    every flagged decision are always evaluated; any other x is skipped when
+    E_I(x) - CERT_TOL * unit_scale(f_x) exceeds the least g so far. The LP
+    stops within LP_TOL * unit_scale(f_x) of g(x) >= E_I(x), so a skipped x
+    has g(x) above that least g and cannot be x_R: the report is the one
+    that evaluating every g gives."""
+    decisions = space.decisions
+    indep_values = [independent_expectation_exact(d.function, space.marginals) for d in decisions]
+    indep_idx = min(range(len(decisions)), key=lambda k: (indep_values[k], k))
 
+    g_values: dict[int, float] = {}
+    g_min = math.inf
+    order = sorted(range(len(decisions)), key=lambda k: (indep_values[k], k))
+    order.remove(indep_idx)  # already first unless some E_I is NaN
+    for k in [indep_idx, *order]:
+        d = decisions[k]
+        if not d.supermodular and indep_values[k] - CERT_TOL * unit_scale(d.function.values()) > g_min:
+            continue
+        g_values[k] = evaluate_g(space, d)
+        g_min = min(g_min, g_values[k])
+
+    robust_idx = min(g_values, key=lambda k: (g_values[k], k))
     g_robust = g_values[robust_idx]
     g_indep = g_values[indep_idx]
-    pair = (space.decisions[robust_idx], space.decisions[indep_idx])
+    pair = (decisions[robust_idx], decisions[indep_idx])
     tol = CHECK_TOL * max(unit_scale(d.function.values()) for d in pair)
     chain_ok = (
         g_robust >= indep_values[robust_idx] - tol
         and indep_values[robust_idx] >= indep_values[indep_idx] - tol
     )
     return RobustSolveReport(
-        x_robust=space.decisions[robust_idx].label,
+        x_robust=decisions[robust_idx].label,
         g_robust=g_robust,
-        x_independent=space.decisions[indep_idx].label,
+        x_independent=decisions[indep_idx].label,
         independent_value=indep_values[indep_idx],
         g_independent=g_indep,
         ratio=safe_ratio(g_indep, g_robust),

@@ -5,9 +5,8 @@ each good independently and uniformly at random."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .core import Instance, SetFunction, SizeCapError, ValidationError
 from .distributions import independent_expectation_exact
@@ -24,10 +23,12 @@ def welfare_ip_optimum(f: SetFunction, k: int) -> float:
         raise ValidationError("need at least one player")
     if (k - 1) * 3**f.n > DP_STEP_CAP:
         raise SizeCapError(f"({k}-1) * 3^{f.n} subset-DP steps exceed cap 3^14")
-    values = f.values()
-    best = values.copy()  # one player: the block is the whole ground subset
+    # Python floats: the same additions and max as float64, without the
+    # per-element cost and overflow warnings of numpy scalars
+    values = f.values().tolist()
+    best = values  # one player: the block is the whole ground subset
     for _ in range(k - 1):
-        nxt = np.empty_like(best)
+        nxt = [0.0] * len(values)
         for s in range(len(values)):
             acc = best[0] + values[s]  # give the new player everything in s
             t = s
@@ -36,7 +37,7 @@ def welfare_ip_optimum(f: SetFunction, k: int) -> float:
                 t = (t - 1) & s
             nxt[s] = acc
         best = nxt
-    return float(best[-1])
+    return best[-1]
 
 
 def welfare_upper_bound(f: SetFunction, k: int) -> float:
@@ -70,9 +71,17 @@ class WelfareReport:
 
 
 def welfare_report(f: SetFunction, k: int) -> WelfareReport:
+    """The three welfare values and their ratios; a value that overflows
+    float64 is refused, since no ratio of it means anything."""
     opt = welfare_ip_optimum(f, k)
     upper = welfare_upper_bound(f, k)
     rounding = rounding_value(f, k)
+    values = {"opt_ip": opt, "upper_bound": upper, "rounding_value": rounding}
+    overflowed = [name for name, v in values.items() if not math.isfinite(v)]
+    if overflowed:
+        raise ValidationError(
+            f"welfare values not finite ({', '.join(overflowed)}): f is too large for float64 sums"
+        )
     return WelfareReport(
         opt_ip=opt,
         upper_bound=upper,

@@ -209,6 +209,15 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     return basis.tolist(), x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
 
 
+def _certifiable_scale(values: np.ndarray) -> float:
+    """unit_scale(f), refusing a subnormal f: its values sit on a grid too
+    coarse to certify."""
+    scale = unit_scale(values)
+    if scale <= 2.0**-1022:
+        raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
+    return scale
+
+
 def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResult:
     """Optimal value, an optimal basic distribution (support <= n+1), and the
     optimal dual of the scenario LP, solved on f / unit_scale(f). A subnormal
@@ -220,9 +229,7 @@ def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResul
     p = np.asarray(inst.marginals)
     if max_iter is None:
         max_iter = 50 * (1 << n)
-    scale = unit_scale(values)
-    if scale <= 2.0**-1022:
-        raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
+    scale = _certifiable_scale(values)
     scaled = values if scale == 1.0 else values / scale
     basis, x_b, y, stats = _simplex_max(scaled, p, LP_TOL, max_iter)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
@@ -274,14 +281,14 @@ def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CER
     """Primal feasibility, dual feasibility over all 2^n scenarios, and
     primal-dual objective equality. The two probability checks are within
     tol; the expectation, dual and objective checks, in the units of f, are
-    within tol * unit_scale(f)."""
+    within tol * unit_scale(f). A subnormal f is refused, as by worst_case_lp."""
     n = inst.n
     if n > MAX_EXACT:
         raise SizeCapError(f"certificate scan needs n <= {MAX_EXACT}, got {n}")
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
     values = inst.function.values()
-    tol_f = tol * unit_scale(values)
+    tol_f = tol * _certifiable_scale(values)
 
     if np.max(np.abs(result.distribution.marginals() - p)) > tol:
         return False

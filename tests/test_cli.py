@@ -412,6 +412,14 @@ class TestZeroDenominators:
         assert data["g_x_I"] == pytest.approx(1.0, abs=1e-9)
         assert data["ratio"] is None
 
+    def test_welfare_overflow_exits_2(self, capsys, tmp_path):
+        values = [0, 1.5e308, 1.6e308, 1.7e308, 1e308, 1.7e308, 1.7e308, 1.7e308]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"function": {"type": "explicit", "n": 3, "values": values}, "players": 2}))
+        code, out, err = run_cli(capsys, "welfare", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: welfare values not finite") and err.count("\n") == 1
+
     def test_welfare_all_zero_table(self, capsys, tmp_path):
         data = run_strict_json(
             capsys, tmp_path, {"function": ZERO_TABLE, "marginals": [0.5, 0.5]}, "welfare", "--k", "2"
@@ -723,7 +731,8 @@ class TestSolverStall:
         [
             ["worst-case", "--builtin", "example3", "--n", "3"],
             ["gap", "--builtin", "example2", "--k", "2"],
-            ["robust", "--builtin", "example1"],
+            # x_I's LP is always solved; example1's flagged decisions solve none
+            ["robust", "--builtin", "example2_two_stage", "--k", "2"],
         ],
         ids=["worst-case", "gap", "robust"],
     )

@@ -18,10 +18,9 @@ from corrgap.distributions import (
     _product_weights,
     independent_expectation_exact,
     independent_expectation_mc,
-    product_distribution,
 )
 from corrgap.instances import random_monotone_instance
-from corrgap.rng import SplitMix64
+from corrgap.rng import SplitMix64, counter_uniforms
 
 
 def threshold(n):
@@ -93,7 +92,8 @@ class TestIndependentExact:
     def test_matches_materialised_product_distribution(self):
         inst = random_monotone_instance(17, 6)
         exact = independent_expectation_exact(inst.function, inst.marginals)
-        dist = product_distribution(6, inst.marginals)
+        weights = _product_weights(6, inst.marginals)
+        dist = ScenarioDistribution(6, list(enumerate(weights.tolist())))
         assert abs(dist.expectation(inst.function) - exact) <= 1e-10
 
     def test_monotone_in_marginals_for_monotone_f(self):
@@ -227,6 +227,38 @@ class TestMonteCarlo:
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
             independent_expectation_mc(threshold(2), [0.5, 0.5], 0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17])
+    @pytest.mark.parametrize("samples", [1, 2**11 - 1, 2**11 + 1, 2**15 + 1])
+    def test_blocks_bit_identical_to_one_draw_per_chunk(self, n, samples):
+        rng = np.random.default_rng(n)
+        if n <= 16:
+            f = TableFunction(rng.normal(size=1 << n))
+        else:
+            f = CoverageMax(n, [list(range(0, n, 2)), list(range(1, n, 2))])
+        p = rng.random(n)
+        mc = independent_expectation_mc(f, p, samples, seed=99)
+        assert (mc.estimate, mc.stderr) == one_draw_per_chunk(f, p, samples, 99)
+
+
+def one_draw_per_chunk(f, p, samples, seed):
+    """The sampler as first written: each 2^15-sample chunk's uniforms in one
+    draw, masks built bit by bit in int64."""
+    n = f.n
+    total = total_sq = 0.0
+    for done in range(0, samples, _MC_CHUNK):
+        chunk = min(_MC_CHUNK, samples - done)
+        u = counter_uniforms(seed, done * n, chunk * n).reshape(chunk, n)
+        masks = np.zeros(chunk, dtype=np.int64)
+        for i in range(n):
+            masks |= (u[:, i] < p[i]).astype(np.int64) << i
+        vals = f.values_at(masks)
+        total += float(vals.sum())
+        total_sq += _dot(vals, vals)
+    mean = total / samples
+    if samples == 1:
+        return mean, 0.0
+    return mean, float(np.sqrt(max(total_sq - samples * mean * mean, 0.0) / (samples - 1) / samples))
 
 
 def bits(x):

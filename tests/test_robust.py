@@ -1,14 +1,23 @@
-import pytest
+import itertools
 
-from corrgap.core import TableFunction, ValidationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corrgap.robust as robust
+import corrgap.worst_case as wc
+from corrgap.core import CHECK_TOL, TableFunction, ValidationError, unit_scale
 from corrgap.distributions import independent_expectation_exact
-from corrgap.instances import threshold_instance, two_stage_flow_space
+from corrgap.gap import safe_ratio
+from corrgap.instances import build_builtin, threshold_instance, two_stage_flow_space
 from corrgap.robust import (
     Decision,
     DecisionSpace,
+    RobustSolveReport,
     approximation_ratio,
     evaluate_g,
 )
+from corrgap.worst_case import supermodular_worst_case, worst_case_lp
 
 
 def constant_space():
@@ -100,6 +109,14 @@ class TestDecisionSpace:
         with pytest.raises(ValidationError):
             evaluate_g(space, 0)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_subnormal_decision_refused(self, flag):
+        s = 1e-310
+        f = TableFunction([0.0, s, s, 3 * s])
+        space = DecisionSpace([0.3, 0.6], [Decision("tiny", f, supermodular=flag)])
+        with pytest.raises(ValidationError, match="subnormal"):
+            approximation_ratio(space)
+
     def test_json_round_trip(self):
         space = two_stage_flow_space(3)
         data = space.to_json()
@@ -110,3 +127,161 @@ class TestDecisionSpace:
     def test_report_json_keys(self):
         report = approximation_ratio(constant_space()).to_json()
         assert set(report) == {"x_R", "g_x_R", "x_I", "E_I_x_I", "g_x_I", "ratio", "chain_ok"}
+
+
+def exhaustive_report(space: DecisionSpace) -> RobustSolveReport:
+    """approximation_ratio without pruning: g of every decision, each flagged
+    one as its closed form checked against the LP to 1e-6 * unit_scale(f)."""
+    g_values = []
+    for d in space.decisions:
+        inst = space.instance_for(d)
+        lp = worst_case_lp(inst).value
+        if d.supermodular:
+            closed = supermodular_worst_case(inst).value
+            if abs(closed - lp) > 1e-6 * unit_scale(d.function.values()):
+                raise ValidationError("the supermodular flag looks wrong")
+            lp = closed
+        g_values.append(lp)
+    indep = [independent_expectation_exact(d.function, space.marginals) for d in space.decisions]
+    r = min(range(len(g_values)), key=lambda k: (g_values[k], k))
+    i = min(range(len(indep)), key=lambda k: (indep[k], k))
+    pair = (space.decisions[r], space.decisions[i])
+    tol = CHECK_TOL * max(unit_scale(d.function.values()) for d in pair)
+    return RobustSolveReport(
+        x_robust=space.decisions[r].label,
+        g_robust=g_values[r],
+        x_independent=space.decisions[i].label,
+        independent_value=indep[i],
+        g_independent=g_values[i],
+        ratio=safe_ratio(g_values[i], g_values[r]),
+        chain_ok=g_values[r] >= indep[r] - tol and indep[r] >= indep[i] - tol,
+    )
+
+
+def count_lps(monkeypatch) -> list[int]:
+    """Count scenario-LP solves from here on; returns the one-item counter."""
+    calls = [0]
+    solve = wc._simplex_max
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(wc, "_simplex_max", counted)
+    return calls
+
+
+BUILTIN_SPACES = (
+    [("ufl_random", {"seed": s}) for s in range(20)]
+    + [("example1", {"n": n}) for n in range(2, 9)]
+    + [("example2_two_stage", {"k": k}) for k in (2, 3, 4)]
+)
+
+
+def supermodular_table(n, base, weights, pairs):
+    """base + sum of weights over S + sum of the nonnegative pair terms
+    inside S: supermodular by construction."""
+    values = []
+    for m in range(1 << n):
+        members = [i for i in range(n) if m >> i & 1]
+        pair_sum = sum(pairs[i * n + j] for i, j in itertools.combinations(members, 2))
+        values.append(base + sum(weights[i] for i in members) + pair_sum)
+    return TableFunction(values)
+
+
+@st.composite
+def mixed_spaces(draw):
+    """Spaces of 1-8 decisions over n <= 4, drawn with repetition from a
+    pool of small-integer tables (unflagged) and supermodular tables (flagged
+    or not), so ties in E_I and in g are common."""
+    n = draw(st.integers(1, 4))
+    marginals = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
+    small = st.integers(-2, 3).map(float)
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            values = draw(st.lists(small, min_size=1 << n, max_size=1 << n))
+            pool.append((TableFunction(values), False))
+        else:
+            f = supermodular_table(
+                n,
+                draw(small),
+                draw(st.lists(small, min_size=n, max_size=n)),
+                draw(st.lists(st.integers(0, 2).map(float), min_size=n * n, max_size=n * n)),
+            )
+            pool.append((f, draw(st.booleans())))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    decisions = [Decision(str(j), *pool[k]) for j, k in enumerate(picks)]
+    return DecisionSpace(marginals, decisions)
+
+
+class TestPrunedRobustSolve:
+    """approximation_ratio skips LPs that cannot change its report."""
+
+    @pytest.mark.parametrize("name,params", BUILTIN_SPACES, ids=lambda v: str(v))
+    def test_same_report_as_exhaustive_on_builtins(self, name, params):
+        space = build_builtin(name, **params)
+        assert approximation_ratio(space) == exhaustive_report(space)
+
+    @given(mixed_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_same_report_as_exhaustive_on_mixed_spaces(self, space):
+        assert approximation_ratio(space) == exhaustive_report(space)
+
+    @pytest.mark.parametrize("seed", [*range(20), 1_000_003, 2_147_483_000])
+    def test_ufl_random_solves_one_lp_of_eight(self, monkeypatch, seed):
+        space = build_builtin("ufl_random", seed=seed)
+        calls = count_lps(monkeypatch)
+        approximation_ratio(space)
+        assert len(space.decisions) == 8 and calls[0] == 1
+
+    def test_two_stage_coverage_k4_solves_three_lps_of_five(self, monkeypatch):
+        space = build_builtin("example2_two_stage", k=4)
+        calls = count_lps(monkeypatch)
+        approximation_ratio(space)
+        assert len(space.decisions) == 5 and calls[0] == 3
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_flagged_family_solves_no_lp(self, monkeypatch, n):
+        space = two_stage_flow_space(n)
+        expected = exhaustive_report(space)
+
+        def refuse(*args):
+            raise AssertionError("scenario LP solved")
+
+        monkeypatch.setattr(wc, "_simplex_max", refuse)
+        assert approximation_ratio(space) == expected
+
+    def test_flagged_decision_after_a_skipped_one_is_evaluated(self, monkeypatch):
+        # "low" is x_I with g = 1; "high" (E_I = 2) is skipped; the flagged
+        # decisions come later in E_I order and are still checked
+        evaluated = []
+        evaluate = robust.evaluate_g
+
+        def spy(space, decision):
+            evaluated.append(decision.label)
+            return evaluate(space, decision)
+
+        monkeypatch.setattr(robust, "evaluate_g", spy)
+        low = Decision("low", TableFunction([1.0] * 4))
+        high = Decision("high", TableFunction([2.0] * 4))
+        good = Decision("super", TableFunction([3.0, 3.0, 3.0, 4.0]), supermodular=True)
+        space = DecisionSpace([0.5, 0.5], [high, good, low])
+        assert approximation_ratio(space).x_robust == "low"
+        assert evaluated == ["low", "super"]
+
+        evaluated.clear()
+        wrong = Decision("sub", TableFunction([0.0, 3.0, 3.0, 3.0]), supermodular=True)
+        with pytest.raises(ValidationError, match="supermodular flag looks wrong"):
+            approximation_ratio(DecisionSpace([0.5, 0.5], [high, wrong, low]))
+        assert evaluated == ["low", "sub"]
+
+    def test_decision_whose_e_i_ties_the_least_g_is_evaluated(self, monkeypatch):
+        # x_I = "pair" (E_I = 1, g = 2) comes first; "flat" has E_I = g = 2,
+        # ties the least g and has the lower index, so it is x_R
+        calls = count_lps(monkeypatch)
+        flat = Decision("flat", TableFunction([2.0] * 4))
+        pair = Decision("pair", TableFunction([0.0, 0.0, 0.0, 4.0]))
+        report = approximation_ratio(DecisionSpace([0.5, 0.5], [flat, pair]))
+        assert calls[0] == 2
+        assert (report.x_independent, report.x_robust, report.g_robust) == ("pair", "flat", 2.0)

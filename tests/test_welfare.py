@@ -1,8 +1,10 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from corrgap.core import SizeCapError, TableFunction, is_monotone, is_submodular
+from corrgap.core import SizeCapError, TableFunction, ValidationError, is_monotone, is_submodular
 from corrgap.instances import random_coverage_function, welfare_gap_case
 from corrgap.welfare import (
     rounding_value,
@@ -71,11 +73,47 @@ class TestExactOptimum:
         )
         assert welfare_ip_optimum(f, k) == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (6, 4), (8, 2)])
+    def test_bit_identical_to_numpy_scalar_dp(self, n, k):
+        rng = np.random.default_rng(n * 10 + k)
+        for scale in (1.0, 1e-300, 1e300):
+            f = TableFunction(rng.normal(size=1 << n) * scale)
+            assert welfare_ip_optimum(f, k) == numpy_scalar_dp(f.values(), k)
+
     def test_caps(self):
         # the cap bounds the (k-1) * 3^n steps of the subset DP, not k^n
         with pytest.raises(SizeCapError):
             welfare_ip_optimum(TableFunction([0.0] * (1 << 16)), 2)  # 3^16 steps
         assert welfare_ip_optimum(TableFunction([0.0] * (1 << 10)), 6) == 0.0  # 5 * 3^10
+
+
+def numpy_scalar_dp(values, k):
+    """The subset DP as first written, over float64 scalars."""
+    best = values.copy()
+    for _ in range(k - 1):
+        nxt = np.empty_like(best)
+        for s in range(len(values)):
+            acc = best[0] + values[s]
+            t = s
+            while t:
+                acc = max(acc, best[t] + values[s & ~t])
+                t = (t - 1) & s
+            nxt[s] = acc
+        best = nxt
+    return float(best[-1])
+
+
+class TestOverflow:
+    TABLE = [0, 1.5e308, 1.6e308, 1.7e308, 1e308, 1.7e308, 1.7e308, 1.7e308]
+
+    def test_report_refuses_values_that_overflow(self):
+        with pytest.raises(ValidationError, match=r"opt_ip, upper_bound, rounding_value"):
+            welfare_report(TableFunction(self.TABLE), 2)
+
+    def test_dp_overflows_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert welfare_ip_optimum(TableFunction(self.TABLE), 2) == math.inf
 
 
 class TestSandwich:

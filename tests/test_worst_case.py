@@ -212,8 +212,11 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("top", [5e-324, 1e-320, -1e-320, 2.0**-1022 - 2.0**-1074])
     def test_subnormal_table_refused(self, top):
+        inst = Instance(TableFunction([0.0, top]), [0.5])
         with pytest.raises(ValidationError, match="subnormal"):
-            worst_case_lp(Instance(TableFunction([0.0, top]), [0.5]))
+            worst_case_lp(inst)
+        with pytest.raises(ValidationError, match="subnormal"):
+            verify_certificate(inst, supermodular_worst_case(inst))
 
     @pytest.mark.parametrize("top", [0.0, 2.0**-1022, -(2.0**-1022)])
     def test_zero_and_smallest_normal_tables_solve(self, top):
