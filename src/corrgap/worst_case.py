@@ -27,10 +27,12 @@ the units of f scale their tolerance by the same 2^e.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import MAX_EXACT, Instance, SizeCapError, ValidationError, doubling_halves
 from .core import subset_sums, unit_scale
@@ -43,8 +45,9 @@ _REFACTOR_EVERY = 100
 
 
 class SimplexStallError(RuntimeError):
-    """Iteration cap hit: numerical trouble, never infeasibility (the product
-    distribution is always feasible)."""
+    """Iteration cap hit, pivot row lost or basis singular: numerical
+    trouble, never infeasibility (the product distribution is always
+    feasible)."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class WorstCaseResult:
 
 def descending_order(p) -> list[int]:
     """Element order by descending marginal, ties by ascending index."""
-    return sorted(range(len(p)), key=lambda i: (-p[i], i))
+    return sorted(range(len(p)), key=p.__getitem__, reverse=True)  # stable
 
 
 def prefix_masks(order) -> list[int]:
@@ -91,16 +94,74 @@ def prefix_masks(order) -> list[int]:
     return masks
 
 
+def prefix_chain(p) -> tuple[list[int], list[int], list[float]]:
+    """The chain {}, S_1 c ... c S_n of prefix sets of the p-descending order
+    o: (o, the chain's masks, its basic solution). The solution is
+
+        Pr(empty) = 1 - p_o1,  Pr(S_k) = p_ok - p_o(k+1),  Pr(S_n) = p_on,
+
+    each entry one rounded subtraction (or p_on itself), non-negative for
+    marginals in [0, 1]."""
+    order = descending_order(p)
+    sorted_p = [p[i] for i in order]
+    probs = [1.0 - sorted_p[0]]
+    probs += [sorted_p[k] - sorted_p[k + 1] for k in range(len(p) - 1)]
+    probs.append(sorted_p[-1])
+    return order, [0, *prefix_masks(order)], probs
+
+
+@functools.cache
+def _staircase_inverse(n: int) -> np.ndarray:
+    """The basis inverse of the chain {}, {0}, {0,1}, ..., {0..n-1}: row 0 is
+    e_n - e_0, row k is e_(k-1) - e_k, row n is e_(n-1)."""
+    inverse = np.zeros((n + 1, n + 1))
+    inverse[0, n] = 1.0
+    for k in range(n):
+        inverse[k, k] = -1.0
+        inverse[k + 1, k] = 1.0
+    inverse.flags.writeable = False
+    return inverse
+
+
+def start_inverse(order: list[int]) -> np.ndarray:
+    """The inverse of the scenario-LP basis matrix of the prefix chain of
+    `order` (columns {}, S_1, ..., S_n; rows the elements, then the all-ones
+    row): the staircase inverse with element o_j in column j's place, so row
+    0 is e_n - e_o1, row k is e_ok - e_o(k+1) and row n is e_on. Its entries
+    are 0 and +-1, what LAPACK returns up to the sign of zero, and its
+    product with (p, 1) is prefix_chain's solution."""
+    n = len(order)
+    position = [n] * (n + 1)
+    for j, i in enumerate(order):
+        position[i] = j
+    return _staircase_inverse(n).take(position, axis=1)
+
+
 _SHIFTS = np.arange(MAX_EXACT)[:, None]  # bit i of a mask is mask >> _SHIFTS[i] & 1
+_BYTE_BITS = (np.arange(256)[:, None] >> _SHIFTS[:8, 0] & 1).astype(float)  # [v, i]: bit i of v
 
 
-def _basis_matrix(basis: np.ndarray, n: int) -> np.ndarray:
+def _basis_matrix(basis: list[int], n: int) -> np.ndarray:
     cols = np.ones((n + 1, len(basis)))
-    cols[:n] = basis >> _SHIFTS[:n] & 1
+    cols[:n] = np.array(basis) >> _SHIFTS[:n] & 1
     return cols
 
 
-def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
+def _invalid_arithmetic(err: str, flag: int):
+    raise SimplexStallError("singular basis: invalid arithmetic in the simplex")
+
+
+# The gufuncs behind np.linalg.inv and np.linalg.solve: the same LAPACK calls
+# and bits, without the errstate np.linalg enters on every call. _simplex_max
+# runs under that errstate once per solve instead. These gufuncs report a
+# singular matrix as an invalid operation (and fill their output with NaN),
+# so that raises SimplexStallError, as would any NaN arising in the pivots.
+_inv = _umath_linalg.inv
+_solve = _umath_linalg.solve1
+
+
+@np.errstate(call=_invalid_arithmetic, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _simplex_max(values: np.ndarray, p, tol: float, max_iter: int):
     """Maximise values @ alpha over the marginal polytope; returns
     (basis masks, basic solution, duals y, SimplexStats) at optimality.
 
@@ -108,22 +169,28 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     broken by the smallest basic mask; after _BLAND_AFTER consecutive
     degenerate pivots, Bland's rule (lowest improving mask) for the rest of
     the solve. The basis inverse is refactored every _REFACTOR_EVERY pivots,
-    and once more before optimality is accepted if pivots were taken since."""
+    and once more before optimality is accepted if pivots were taken since.
+
+    The basis, the basic solution x_b and the ratio test live in Python
+    lists of at most 17 entries; the basis inverse, the pricing buffer and
+    the two matrix-vector products per pivot stay in numpy."""
     n = len(p)
-    b = np.append(p, 1.0)
-    bits = _SHIFTS[:n, 0]
+    b = np.array([*p, 1.0])
     reduced = np.empty(1 << n)
     halves = doubling_halves(reduced, n)
+    # The entering column: bits 0-7 of its mask from the byte table, then
+    # bits 8-15 (an empty slice below n = 9), then the trailing 1.
     column = np.ones(n + 1)
+    low, high = column[: min(n, 8)], column[8:n]
+    low_bits, high_bits = _BYTE_BITS[:, : len(low)], _BYTE_BITS[:, : len(high)]
 
     # The nested prefix sets of the p-descending order plus the empty set form
     # a (possibly degenerate) feasible basis for any marginals, so no phase 1.
-    basis = np.array([0] + prefix_masks(descending_order(p)))
-    binv = np.linalg.inv(_basis_matrix(basis, n))
-    x_b = binv @ b
-    x_b[x_b < 0] = 0.0
+    order, basis, x_b = prefix_chain(p)
+    binv = start_inverse(order)
     c_b = values[basis]
 
+    B = None  # the basis matrix of the last refactor
     bland_at = None
     degenerate_streak = 0
     degenerate = 0
@@ -132,10 +199,10 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
     pivots = 0
 
     def refactor():
-        nonlocal binv, x_b, since_refactor, refactors
-        binv = np.linalg.inv(_basis_matrix(basis, n))
-        x_b = binv @ b
-        x_b[x_b < 0] = 0.0
+        nonlocal B, binv, x_b, since_refactor, refactors
+        B = _basis_matrix(basis, n)
+        binv = _inv(B, signature="d->d")
+        x_b = [0.0 if v < 0.0 else v for v in (binv @ b).tolist()]
         since_refactor = 0
         refactors += 1
 
@@ -168,24 +235,24 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
                 refactor()
                 continue  # confirm optimality against a fresh factorisation
             break
-        column[:n] = entering >> bits & 1
+        low[:] = low_bits[entering & 255]
+        high[:] = high_bits[entering >> 8]
         d = binv @ column
-        rows = (d > tol).nonzero()[0]
-        if not len(rows):
+        dl = d.tolist()
+        ratios = {i: x / di for i, (x, di) in enumerate(zip(x_b, dl)) if di > tol}
+        if not ratios:
             raise SimplexStallError("no pivot row found; tableau has drifted")
-        ratios = x_b[rows] / d[rows]
-        near = rows[ratios <= ratios.min() + tol]
+        bound = min(ratios.values()) + tol
         # Bland tie-break: the smallest basic mask among the near rows
-        leave = int(near[0] if len(near) == 1 else near[basis[near].argmin()])
-        d_leave = d[leave]
-        theta = x_b[leave] / d_leave
+        leave = min((i for i, r in ratios.items() if r <= bound), key=basis.__getitem__)
+        d_leave = dl[leave]
+        theta = ratios[leave]
 
         pivot_row = binv[leave] / d_leave
         binv -= d[:, None] * pivot_row
         binv[leave] = pivot_row
-        x_b -= theta * d
+        x_b = [0.0 if (v := x - theta * di) < 0.0 else v for x, di in zip(x_b, dl)]
         x_b[leave] = theta
-        np.maximum(x_b, 0.0, out=x_b)
         basis[leave] = entering
         c_b[leave] = values[entering]
 
@@ -201,12 +268,14 @@ def _simplex_max(values: np.ndarray, p: np.ndarray, tol: float, max_iter: int):
         if since_refactor >= _REFACTOR_EVERY:
             refactor()
 
-    # Final values and duals from a fresh factorisation.
-    B = _basis_matrix(basis, n)
-    x_b = np.linalg.solve(B, b)
+    # Final values and duals from a fresh factorisation: optimality is only
+    # accepted with no pivot since the last refactor, whose matrix this is.
+    if B is None:
+        B = _basis_matrix(basis, n)
+    x_b = _solve(B, b, signature="dd->d")
     x_b[x_b < 0] = 0.0
-    y = np.linalg.solve(B.T, c_b)
-    return basis.tolist(), x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
+    y = _solve(B.T, c_b, signature="dd->d")
+    return basis, x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
 
 
 def _certifiable_scale(values: np.ndarray) -> float:
@@ -226,12 +295,11 @@ def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResul
     if n > MAX_EXACT:
         raise SizeCapError(f"scenario LP needs n <= {MAX_EXACT}, got {n}")
     values = inst.function.values()
-    p = np.asarray(inst.marginals)
     if max_iter is None:
         max_iter = 50 * (1 << n)
     scale = _certifiable_scale(values)
     scaled = values if scale == 1.0 else values / scale
-    basis, x_b, y, stats = _simplex_max(scaled, p, LP_TOL, max_iter)
+    basis, x_b, y, stats = _simplex_max(scaled, inst.marginals, LP_TOL, max_iter)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
     value = float(values[basis] @ x_b)
     duals = (y * scale).tolist()
@@ -249,23 +317,14 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
     """
     n = inst.n
     f = inst.function
-    p = inst.marginals
-    order = descending_order(p)
-    prefixes = prefix_masks(order)
-    sorted_p = [p[i] for i in order]
+    order, chain, probs = prefix_chain(inst.marginals)
 
-    support = [(0, 1.0 - sorted_p[0])]
-    for k in range(n - 1):
-        support.append((prefixes[k], sorted_p[k] - sorted_p[k + 1]))
-    support.append((prefixes[-1], sorted_p[-1]))
-
-    masks = np.array([0, *prefixes], dtype=np.uint64)
+    masks = np.array(chain, dtype=np.uint64)
     gathered = f.values()[masks] if n <= MAX_EXACT else f.values_at(masks)
     f_empty, *prefix_values = gathered.tolist()
-    value = (1.0 - sorted_p[0]) * f_empty
-    for k in range(n - 1):
-        value += (sorted_p[k] - sorted_p[k + 1]) * prefix_values[k]
-    value += sorted_p[-1] * prefix_values[-1]
+    value = probs[0] * f_empty
+    for prob, v in zip(probs[1:], prefix_values):
+        value += prob * v
 
     lam = [0.0] * n
     previous = f_empty
@@ -273,7 +332,7 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
         lam[i] = prefix_values[k] - previous
         previous = prefix_values[k]
 
-    dist = ScenarioDistribution(n, support)
+    dist = ScenarioDistribution(n, list(zip(chain, probs)))
     return WorstCaseResult(float(value), dist, float(f_empty), tuple(lam))
 
 

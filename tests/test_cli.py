@@ -746,3 +746,21 @@ class TestSolverStall:
         code, out, err = run_cli(capsys, *argv)
         assert code == 4 and out == ""
         assert err.startswith("solver: no optimum within ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worst-case", "--builtin", "example3", "--n", "3"],
+            ["gap", "--builtin", "example2", "--k", "2"],
+            ["robust", "--builtin", "example2_two_stage", "--k", "2"],
+        ],
+        ids=["worst-case", "gap", "robust"],
+    )
+    def test_singular_basis_exits_4_with_one_line(self, capsys, monkeypatch, argv):
+        import corrgap.worst_case as wc
+
+        # rank one: LAPACK finds the basis singular at its first factorisation
+        monkeypatch.setattr(wc, "_basis_matrix", lambda basis, n: np.ones((n + 1, len(basis))))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == "solver: singular basis: invalid arithmetic in the simplex\n"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import corrgap.worst_case as wc
+from corrgap.cli import main
 from corrgap.core import (
     Instance,
     SizeCapError,
@@ -105,6 +108,21 @@ class TestWorstCaseLP:
     def test_iteration_cap_raises(self):
         with pytest.raises(SimplexStallError):
             worst_case_lp(threshold_instance(6), max_iter=1)
+
+    @pytest.mark.parametrize(
+        "make, pivots",
+        [(square_instance, 0), (lambda: threshold_instance(3), 2)],
+        ids=["final-solve", "refactor"],
+    )
+    def test_singular_basis_raises_stall(self, monkeypatch, make, pivots):
+        # A rank-one basis matrix reaches LAPACK at the confirming refactor
+        # (after pivots) or at the final solves (no pivots); either way the
+        # solve stops with SimplexStallError, never a NaN result or a warning.
+        inst = make()
+        assert worst_case_lp(inst).stats.pivots == pivots
+        monkeypatch.setattr(wc, "_basis_matrix", lambda basis, n: np.ones((n + 1, len(basis))))
+        with pytest.raises(SimplexStallError, match="singular basis"):
+            worst_case_lp(inst)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("family", ["random", "coverage"])
@@ -392,7 +410,20 @@ SMALL_PIVOT_CONSTANTS = pytest.mark.parametrize(
 )
 
 
-def drawn_instance(kind, n, seed, uniform):
+MARGINALS = ["uniform", "random", "quarters"]
+
+
+def drawn_marginals(rng, n, marginals):
+    """1/n each, uniform draws, or draws from {0, 1/4, 1/2, 3/4, 1}: ties
+    and marginals of 0 and 1, so degenerate start bases."""
+    if marginals == "uniform":
+        return [1.0 / n] * n
+    if marginals == "random":
+        return rng.random(n).tolist()
+    return (rng.integers(0, 5, n) / 4).tolist()
+
+
+def drawn_instance(kind, n, seed, marginals):
     rng = np.random.default_rng(seed)
     if kind == "random":
         table = rng.random(1 << n)
@@ -401,8 +432,35 @@ def drawn_instance(kind, n, seed, uniform):
     else:
         table = np.ones(1 << n)
         table[0] = 0.0
-    p = [1.0 / n] * n if uniform else rng.random(n).tolist()
-    return Instance(TableFunction(table), p)
+    return Instance(TableFunction(table), drawn_marginals(rng, n, marginals))
+
+
+class TestExactStartBasis:
+    """The start basis {}, S_1, ..., S_n is written down, not factored: its
+    inverse and basic solution equal LAPACK's inverse of the basis matrix
+    and its product with (p, 1), clamped at 0, by value (-0.0 == 0.0)."""
+
+    @staticmethod
+    def assert_start_matches_lapack(p):
+        n = len(p)
+        order, basis, x_b = wc.prefix_chain(p)
+        assert basis == [0, *prefix_masks(descending_order(p))]
+        binv = np.linalg.inv(reference_basis_matrix(basis, n))
+        assert np.array_equal(wc.start_inverse(order), binv)
+        expected = binv @ np.append(p, 1.0)
+        expected[expected < 0] = 0.0
+        assert x_b == expected.tolist()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("marginals", MARGINALS)
+    def test_drawn_marginals(self, n, marginals):
+        self.assert_start_matches_lapack(drawn_marginals(np.random.default_rng(n), n, marginals))
+
+    @pytest.mark.parametrize(
+        "p", [[0.0] * 5, [1.0] * 5, [0.5] * 5, [1.0, 0.0, 1.0, 0.0], [0.3], [1.0], [0.0]]
+    )
+    def test_ties_and_extremes(self, p):
+        self.assert_start_matches_lapack(p)
 
 
 class TestLeanSimplexMatchesReference:
@@ -411,14 +469,14 @@ class TestLeanSimplexMatchesReference:
         kind=st.sampled_from(["random", "few-valued", "threshold"]),
         n=st.integers(1, 10),
         seed=st.integers(0, 2**32 - 1),
-        uniform=st.booleans(),
+        marginals=st.sampled_from(MARGINALS),
     )
     @settings(max_examples=60, deadline=None)
-    def test_drawn_tables(self, bland_after, refactor_every, kind, n, seed, uniform):
+    def test_drawn_tables(self, bland_after, refactor_every, kind, n, seed, marginals):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wc, "_BLAND_AFTER", bland_after)
             mp.setattr(wc, "_REFACTOR_EVERY", refactor_every)
-            assert_same_solve(drawn_instance(kind, n, seed, uniform))
+            assert_same_solve(drawn_instance(kind, n, seed, marginals))
 
     @SMALL_PIVOT_CONSTANTS
     @pytest.mark.parametrize(
@@ -426,7 +484,7 @@ class TestLeanSimplexMatchesReference:
         [
             lambda: coverage_partition_instance(4),
             lambda: threshold_instance(16),
-            lambda: drawn_instance("random", 16, 16, uniform=False),
+            lambda: drawn_instance("random", 16, 16, marginals="random"),
         ],
         ids=["example2-k4", "example3-n16", "random-n16"],
     )
@@ -442,7 +500,7 @@ class TestLeanSimplexMatchesReference:
         # degenerate pivot, so the full pass is pinned here bit for bit.
         monkeypatch.setattr(wc, "_BLAND_AFTER", bland_after)
         monkeypatch.setattr(wc, "_REFACTOR_EVERY", refactor_every)
-        stats = assert_same_solve(drawn_instance("random", 6, 46, uniform=False))
+        stats = assert_same_solve(drawn_instance("random", 6, 46, marginals="random"))
         assert stats.pivots == 8 and stats.bland_at is None
 
     @SMALL_PIVOT_CONSTANTS
@@ -490,7 +548,7 @@ def four_sweep_verify(inst, result, tol):
 class TestCertificateScanMatchesFourSweeps:
     @pytest.mark.parametrize("seed", range(6))
     def test_honest_and_bogus(self, seed):
-        inst = drawn_instance("random", 3 + seed, seed, uniform=False)
+        inst = drawn_instance("random", 3 + seed, seed, marginals="random")
         honest = worst_case_lp(inst)
         gamma = honest.dual_gamma - 1e-3
         bogus = WorstCaseResult(honest.value, honest.distribution, gamma, honest.dual_lambda)
@@ -500,7 +558,7 @@ class TestCertificateScanMatchesFourSweeps:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_largest_excess_at_tol_and_one_ulp_either_side(self, seed):
-        inst = drawn_instance("random", 3 + seed, 100 + seed, uniform=False)
+        inst = drawn_instance("random", 3 + seed, 100 + seed, marginals="random")
         honest = worst_case_lp(inst)
         # Trade gamma against lambda_0 so that the objective holds but some
         # scenario without element 0 now exceeds its dual by about 1e-4.
@@ -515,6 +573,59 @@ class TestCertificateScanMatchesFourSweeps:
         verdicts = [verify_certificate(inst, moved, tol) for tol in tols]
         assert verdicts == [four_sweep_verify(inst, moved, tol) for tol in tols]
         assert verdicts == [False, True, True]
+
+
+def recorded_stats(monkeypatch, argv):
+    """Run the command and return the SimplexStats of every scenario LP it
+    solved, in order, as (pivots, degenerate pivots, bland_at, refactors)."""
+    stats = []
+    solve = wc._simplex_max
+
+    def recorded(*args):
+        result = solve(*args)
+        stats.append(result[3])
+        return result
+
+    monkeypatch.setattr(wc, "_simplex_max", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return [(s.pivots, s.degenerate_pivots, s.bland_at, s.refactors) for s in stats]
+
+
+class TestPinnedSolveCounts:
+    """The work behind the golden commands, by name. Pivot counts do not
+    depend on the machine, so a change of algorithmic work shows here even
+    when every printed number stays the same."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("worst-case --builtin example2", [(4, 3, None, 1)]),
+            ("worst-case --builtin example2 --k 2", [(2, 1, None, 1)]),
+            ("worst-case --builtin example2 --k 4", [(38, 34, None, 1)]),
+            ("worst-case --builtin example3", [(2, 1, None, 1)]),
+            ("worst-case --builtin example3 --n 5", [(4, 3, None, 1)]),
+            ("worst-case --builtin example3 --n 16", [(15, 14, None, 1)]),
+            ("worst-case --builtin coverage_random", [(2, 0, None, 1)]),
+            ("worst-case --builtin coverage_random --seed 3 --n 4", [(2, 0, None, 1)]),
+            ("worst-case --builtin integrality_gap", [(6, 3, None, 1)]),
+            ("gap --builtin example2 --k 4", [(38, 34, None, 1)]),
+            ("robust --builtin example1", []),
+            ("robust --builtin example1 --n 6", []),
+            ("robust --builtin example2_two_stage", [(4, 3, None, 1), (4, 3, None, 1), (0, 0, None, 0)]),
+            ("robust --builtin example2_two_stage --k 2", [(2, 1, None, 1), (2, 1, None, 1), (0, 0, None, 0)]),
+            ("robust --builtin ufl_random", [(0, 0, None, 0)]),
+            ("robust --builtin ufl_random --seed 4", [(2, 0, None, 1)]),
+        ],
+    )
+    def test_command(self, monkeypatch, argv, expected):
+        assert recorded_stats(monkeypatch, argv.split()) == expected
+
+    def test_verify_all_totals(self, monkeypatch):
+        stats = recorded_stats(monkeypatch, ["verify", "--all"])
+        pivots, degenerate, bland_at, refactors = zip(*stats)
+        assert (len(stats), sum(pivots), sum(degenerate), sum(refactors)) == (111, 370, 60, 83)
+        assert set(bland_at) == {None}
 
 
 class TestSimplexStats:
