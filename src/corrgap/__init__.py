@@ -21,7 +21,6 @@ from .core import (
 from .cost_sharing import (
     CertificationResult,
     CostShareScheme,
-    OrderedSet,
     certify,
     incremental_scheme,
     lift_scheme,

@@ -3,15 +3,12 @@ a set function, exhaustive certification of budget balance, cross-monotonicity
 and weak summability constants, and the lift of a scheme through a split map
 (the first-appearing copy of an element carries its whole share).
 
-A scheme answers one share at a time (`share`) and, through `shares`, a
-whole batch of orderings at once: an (m, k) array of orderings gives the
-(m, k) shares of their elements. `shares` loops over `share`, except that
-the share oracle of `incremental_scheme` answers the whole batch itself from
-one table of f by prefix-mask gathers. `certify` asks for one batch per set
-size, covering every ordering of every subset, and checks cross-monotonicity
-by gathering the shares of each restriction from the smaller sizes' batches.
-`partial_prefix_cross_monotone` runs on the same plan, masked to the
-orderings that respect a split's block order.
+A scheme is a batch oracle: an (m, k) int array whose rows are orderings
+gives the (m, k) shares of their elements. `certify` asks for one batch per
+set size, covering every ordering of every subset, and checks
+cross-monotonicity by gathering the shares of each restriction from the
+smaller sizes' batches. `partial_prefix_cross_monotone` runs on the same
+plan, masked to the orderings that respect a split's block order.
 """
 
 from __future__ import annotations
@@ -24,96 +21,37 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CHECK_TOL, SetFunction, SizeCapError, ValidationError, unit_scale
+from .core import CHECK_TOL, SetFunction, SizeCapError, unit_scale
 from .split import SplitMap
 
 CERTIFY_CAP = 6  # enumerates all subsets and all orderings of each
 
 
 @dataclass(frozen=True)
-class OrderedSet:
-    """A subset together with an ordering of exactly its elements."""
-
-    mask: int
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        seen = 0
-        for i in self.order:
-            bit = 1 << i
-            if seen & bit or not self.mask & bit:
-                raise ValidationError("ordering must list each element of the set exactly once")
-            seen |= bit
-        if seen != self.mask:
-            raise ValidationError("ordering does not cover the set")
-
-    @classmethod
-    def from_order(cls, order) -> "OrderedSet":
-        mask = 0
-        for i in order:
-            mask |= 1 << i
-        return cls(mask, tuple(order))
-
-    def restrict(self, mask: int) -> "OrderedSet":
-        if mask & ~self.mask:
-            raise ValidationError("restriction target is not a subset")
-        return OrderedSet(mask, tuple(i for i in self.order if mask >> i & 1))
-
-
-@dataclass(frozen=True)
 class CostShareScheme:
-    """Share oracle chi(i, ordered set containing i).
+    """A scheme chi(i, S, sigma_S) as a batch oracle. `share` takes an (m, k)
+    int array whose rows are orderings of k distinct elements and returns the
+    float64 (m, k) shares: out[r, p] is the share of element orders[r, p] in
+    the set of row r, ordered as row r."""
 
-    The batch oracle belongs to the share oracle, not to the scheme: `shares`
-    uses it only while `share` is the incremental oracle itself. A scheme
-    whose `share` is replaced (say by `dataclasses.replace`) loops over the
-    new `share`, so the two can never disagree."""
-
-    share: Callable[[int, OrderedSet], float]
+    share: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-
-    def shares(self, orders: np.ndarray) -> np.ndarray:
-        """Float64 (m, k) shares for an (m, k) int array whose rows are
-        orderings of distinct elements: out[r, p] = share(orders[r, p], row r)."""
-        if isinstance(self.share, _IncrementalShare):
-            return self.share.batch(orders)
-        out = np.empty(orders.shape)
-        for r, order in enumerate(orders.tolist()):
-            oset = OrderedSet.from_order(order)
-            for p, i in enumerate(order):
-                out[r, p] = self.share(i, oset)
-        return out
-
-
-class _IncrementalShare:
-    """The incremental share oracle of f: one share per call, or a batch of
-    orderings gathered from f's table (`f.values()`)."""
-
-    def __init__(self, f: SetFunction):
-        self.f = f
-
-    def __call__(self, i: int, oset: OrderedSet) -> float:
-        f = self.f
-        prefix = 0
-        for j in oset.order:
-            if j == i:
-                return f.value(prefix | 1 << i) - f.value(prefix)
-            prefix |= 1 << j
-        raise ValidationError(f"element {i} not in the ordered set")
-
-    def batch(self, orders: np.ndarray) -> np.ndarray:
-        values = self.f.values()
-        after = np.bitwise_or.accumulate(1 << orders, axis=1)
-        before = np.zeros_like(after)
-        before[:, 1:] = after[:, :-1]
-        return values[after] - values[before]
 
 
 def incremental_scheme(f: SetFunction) -> CostShareScheme:
     """chi(i, S, sigma) = f(first j elements) - f(first j-1) where i is j-th in
     sigma. Shares telescope to f(S) - f(empty); for submodular f this is a
-    (1, 1) cross-monotone scheme."""
-    return CostShareScheme(_IncrementalShare(f), label="incremental")
+    (1, 1) cross-monotone scheme. Each batch is gathered from f's table
+    (`f.values()`, read at call time) by prefix masks."""
+
+    def share(orders: np.ndarray) -> np.ndarray:
+        values = f.values()
+        after = np.bitwise_or.accumulate(1 << orders, axis=1)
+        before = np.zeros_like(after)
+        before[:, 1:] = after[:, :-1]
+        return values[after] - values[before]
+
+    return CostShareScheme(share, label="incremental")
 
 
 @dataclass(frozen=True)
@@ -198,7 +136,7 @@ def certify(scheme: CostShareScheme, f: SetFunction, tol: float = CHECK_TOL) -> 
     f, plus exhaustive cross-monotonicity, over all subsets and orderings.
     Shares and costs are compared within tol * unit_scale(f).
 
-    One `scheme.shares` batch per set size k covers all C(n, k)·k! orderings.
+    One `scheme.share` batch per set size k covers all C(n, k)·k! orderings.
     Totals and prefix totals add shares in ordering position order, one
     column at a time; cross-monotonicity compares each ordering's shares with
     those of its restrictions, one batch per pair of set sizes."""
@@ -213,7 +151,7 @@ def certify(scheme: CostShareScheme, f: SetFunction, tol: float = CHECK_TOL) -> 
     # Python floats overflow to inf and NaN silently; so do these arrays.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for orders, parents in levels:
-            batch = scheme.shares(orders)
+            batch = scheme.share(orders)
             total = np.zeros(len(orders))
             for column in batch.T:
                 total += column
@@ -253,21 +191,20 @@ def lift_scheme(scheme: CostShareScheme, split_map: SplitMap) -> CostShareScheme
     """Scheme on the split ground set: the first-appearing copy of each
     original element (by the set's ordering) receives the original share,
     computed on the projected set ordered by first appearance; every other
-    copy receives zero."""
-    orig_of = split_map.original_of
+    copy receives zero. One base batch per count of distinct originals."""
+    original_of = np.asarray(split_map.original_of)
 
-    def share(copy: int, oset: OrderedSet) -> float:
-        first_copy: dict[int, int] = {}
-        projected_order: list[int] = []
-        for c in oset.order:
-            o = orig_of[c]
-            if o not in first_copy:
-                first_copy[o] = c
-                projected_order.append(o)
-        target = orig_of[copy]
-        if first_copy.get(target) != copy:
-            return 0.0
-        return scheme.share(target, OrderedSet.from_order(projected_order))
+    def share(orders: np.ndarray) -> np.ndarray:
+        orig = original_of[orders]
+        k = orig.shape[1]
+        earlier = np.tri(k, k, -1, dtype=bool)
+        first = ~((orig[:, :, None] == orig[:, None, :]) & earlier).any(axis=2)
+        distinct = first.sum(axis=1)
+        out = np.zeros(orig.shape)
+        for d in np.unique(distinct):
+            at = first & (distinct == d)[:, None]
+            out[at] = scheme.share(orig[at].reshape(-1, d)).ravel()
+        return out
 
     return CostShareScheme(share, label=f"lifted({scheme.label})")
 
@@ -281,7 +218,7 @@ def partial_prefix_cross_monotone(
     late ones (S' a partial prefix of T'). The scheme's f is never seen, so
     tol is in the units of the shares.
 
-    Runs on `certify`'s plan: one `scheme.shares` batch per set size over the
+    Runs on `certify`'s plan: one `scheme.share` batch per set size over the
     block-respecting orderings (labels never increase along the row). A
     restriction of such an ordering respects the blocks too, so every S' row
     is in its size's batch; one comparison per pair of set sizes follows."""
@@ -294,7 +231,7 @@ def partial_prefix_cross_monotone(
     for (orders, _), lab in zip(levels, level_labels):
         respecting = (lab[:, 1:] <= lab[:, :-1]).all(axis=1)
         batch = np.full(orders.shape, np.nan)
-        batch[respecting] = scheme.shares(orders[respecting])
+        batch[respecting] = scheme.share(orders[respecting])
         shares.append(batch)
 
     for k, j, cols, rows in restrictions:

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from corrgap.core import Instance, SizeCapError, TableFunction, ValidationError
+from corrgap.core import Instance, SizeCapError, TableFunction
 from corrgap.cost_sharing import (
     CertificationResult,
     CostShareScheme,
-    OrderedSet,
     certify,
     incremental_scheme,
     lift_scheme,
@@ -32,80 +31,55 @@ def square_function(n=3):
     return TableFunction([float(m.bit_count() ** 2) for m in range(1 << n)])
 
 
-class TestOrderedSet:
-    def test_from_order(self):
-        oset = OrderedSet.from_order((2, 0))
-        assert oset.mask == 0b101 and oset.order == (2, 0)
+def all_orderings(n, k):
+    return [
+        order
+        for members in itertools.combinations(range(n), k)
+        for order in itertools.permutations(members)
+    ]
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            OrderedSet(0b11, (0,))
-        with pytest.raises(ValidationError):
-            OrderedSet(0b11, (0, 0))
-        with pytest.raises(ValidationError):
-            OrderedSet(0b01, (0, 1))
 
-    def test_restrict_keeps_relative_order(self):
-        oset = OrderedSet.from_order((2, 0, 1))
-        assert oset.restrict(0b011).order == (0, 1)
-        with pytest.raises(ValidationError):
-            oset.restrict(0b1000)
+def row_shares(scheme, order):
+    """The scheme's shares of one ordering, asked for as a one-row batch."""
+    return scheme.share(np.array([order], dtype=np.intp))[0].tolist()
+
+
+def incremental_reference(f, order):
+    """Incremental shares of one ordering from the definition, one f.value
+    pair per element: f(prefix + i) - f(prefix)."""
+    out, prefix = [], 0
+    for i in order:
+        out.append(f.value(prefix | 1 << i) - f.value(prefix))
+        prefix |= 1 << i
+    return out
 
 
 class TestIncrementalScheme:
     def test_telescoping_shares(self):
         scheme = incremental_scheme(min2_function())
-        oset = OrderedSet.from_order((0, 1, 2))
-        shares = [scheme.share(i, oset) for i in (0, 1, 2)]
-        assert shares == [1.0, 1.0, 0.0]
+        assert row_shares(scheme, (0, 1, 2)) == [1.0, 1.0, 0.0]
 
     def test_shares_sum_to_span(self):
         f = random_monotone_instance(7, 4).function
-        scheme = incremental_scheme(f)
-        import itertools
-
-        for order in itertools.permutations(range(4)):
-            oset = OrderedSet.from_order(order)
-            total = sum(scheme.share(i, oset) for i in order)
-            assert total == pytest.approx(f.value(0b1111) - f.value(0), abs=1e-9)
+        shares = incremental_scheme(f).share(np.array(all_orderings(4, 4)))
+        assert shares.sum(axis=1) == pytest.approx(f.value(0b1111) - f.value(0), abs=1e-9)
 
     def test_threshold_first_element_pays(self):
         scheme = incremental_scheme(threshold_instance(3).function)
-        oset = OrderedSet.from_order((1, 2, 0))
-        assert scheme.share(1, oset) == 1.0
-        assert scheme.share(2, oset) == 0.0
-        assert scheme.share(0, oset) == 0.0
-
-    def test_missing_element_rejected(self):
-        scheme = incremental_scheme(min2_function())
-        with pytest.raises(ValidationError):
-            scheme.share(2, OrderedSet.from_order((0, 1)))
+        assert row_shares(scheme, (1, 2, 0)) == [1.0, 0.0, 0.0]
 
     def test_nonnegative_shares_iff_monotone(self):
-        import itertools
+        def min_share(f):
+            scheme = incremental_scheme(f)
+            return min(scheme.share(np.array(all_orderings(4, k))).min() for k in range(1, 5))
 
         for trial in range(10):
             f = random_monotone_instance(50 + trial, 4).function
-            table = list(f.values())
-            scheme = incremental_scheme(f)
-            all_nonneg = all(
-                scheme.share(i, OrderedSet.from_order(order)) >= -1e-12
-                for s in range(1, 16)
-                for order in itertools.permutations([i for i in range(4) if s >> i & 1])
-                for i in order
-            )
-            assert all_nonneg  # monotone generator => nonnegative everywhere
+            assert min_share(f) >= -1e-12  # monotone generator => nonnegative everywhere
 
+            table = list(f.values())
             table[0b0111] = table[0b1111] + 5.0  # break monotonicity
-            broken = TableFunction(table)
-            bscheme = incremental_scheme(broken)
-            some_negative = any(
-                bscheme.share(i, OrderedSet.from_order(order)) < -1e-12
-                for s in range(1, 16)
-                for order in itertools.permutations([i for i in range(4) if s >> i & 1])
-                for i in order
-            )
-            assert some_negative
+            assert min_share(TableFunction(table)) < -1e-12
 
 
 class TestCertify:
@@ -135,14 +109,14 @@ class TestCertify:
 
     def test_zero_scheme_on_positive_function_unbounded(self):
         f = threshold_instance(2).function
-        zero = CostShareScheme(lambda i, oset: 0.0, label="zero")
+        zero = CostShareScheme(lambda orders: np.zeros(orders.shape), label="zero")
         cert = certify(zero, f)
         assert math.isinf(cert.beta_star)
         assert cert.to_json()["beta_star"] == "unbounded"
 
     def test_overcharging_scheme_flagged(self):
         f = threshold_instance(2).function
-        greedy = CostShareScheme(lambda i, oset: 1.0, label="overcharge")
+        greedy = CostShareScheme(lambda orders: np.ones(orders.shape), label="overcharge")
         cert = certify(greedy, f)
         assert not cert.budget_upper_ok and math.isinf(cert.beta_star)
 
@@ -151,7 +125,7 @@ class TestCertify:
         # tight at singletons (ratio 1) while the full-ground chain only needs
         # n / n^2 = 1/3, so the two reported constants separate
         f = square_function(3)
-        flat = CostShareScheme(lambda i, oset: 1.0, label="flat")
+        flat = CostShareScheme(lambda orders: np.ones(orders.shape), label="flat")
         cert = certify(flat, f)
         assert cert.eta_star == pytest.approx(1.0, abs=1e-12)
         assert cert.eta_star_chain == pytest.approx(1 / 3, abs=1e-12)
@@ -168,19 +142,17 @@ class TestLiftedScheme:
         scheme = incremental_scheme(base.function)
         _, split_map = split_instance(base, [1, 1, 1])
         lifted = lift_scheme(scheme, split_map)
-        oset = OrderedSet.from_order((2, 0, 1))
-        for i in (0, 1, 2):
-            assert lifted.share(i, oset) == scheme.share(i, oset)
+        for k in range(1, 4):
+            orders = np.array(all_orderings(3, k))
+            assert lifted.share(orders).tolist() == scheme.share(orders).tolist()
 
     def test_only_first_copy_pays(self):
         base = threshold_instance(2)
         split_inst, split_map = split_instance(base, [2, 2])
         lifted = lift_scheme(incremental_scheme(base.function), split_map)
-        # copies: 0,1 -> element 0; 2,3 -> element 1; order puts copy 1 first
-        oset = OrderedSet.from_order((1, 0, 2))
-        assert lifted.share(1, oset) == 1.0  # first copy of element 0 pays f({0}) - f({})
-        assert lifted.share(0, oset) == 0.0
-        assert lifted.share(2, oset) == 0.0  # element 1 adds nothing to the threshold
+        # copies: 0,1 -> element 0; 2,3 -> element 1; order puts copy 1 first.
+        # Copy 1 pays f({0}) - f({}); element 1 adds nothing to the threshold.
+        assert row_shares(lifted, (1, 0, 2)) == [1.0, 0.0, 0.0]
 
     def test_lifted_keeps_constants_and_cross_monotonicity(self):
         base = threshold_instance(2)
@@ -232,9 +204,8 @@ def _sequential_sum(terms):
 
 def reference_certify(scheme, f, tol=1e-9):
     """From-scratch reference for certify: no caching, orderings enumerated
-    through OrderedSet objects, constants accumulated in explicit lists."""
-    import itertools
-
+    with permutations and restricted by filtering tuples, each one asked for
+    its shares as a one-row batch, constants accumulated in explicit lists."""
     n = f.n
     beta_ratios, eta_ratios, chain_ratios = [1.0], [0.0], [0.0]
     upper_ok = True
@@ -243,11 +214,9 @@ def reference_certify(scheme, f, tol=1e-9):
         f_s = f.value(mask)
         full = mask == (1 << n) - 1
         for order in itertools.permutations(members):
-            oset = OrderedSet.from_order(order)
-            total = _sequential_sum(scheme.share(i, oset) for i in order)
+            total = _sequential_sum(row_shares(scheme, order))
             prefix = _sequential_sum(
-                scheme.share(order[j], OrderedSet.from_order(order[: j + 1]))
-                for j in range(len(order))
+                row_shares(scheme, order[: j + 1])[j] for j in range(len(order))
             )
             if total > f_s + tol:
                 upper_ok = False
@@ -267,13 +236,13 @@ def reference_certify(scheme, f, tol=1e-9):
     for t_mask in range(1, 1 << n):
         t_members = [i for i in range(n) if t_mask >> i & 1]
         for t_order in itertools.permutations(t_members):
-            t_oset = OrderedSet.from_order(t_order)
+            t_shares = dict(zip(t_order, row_shares(scheme, t_order)))
             for s_mask in range(1, t_mask):
                 if s_mask & ~t_mask:
                     continue
-                s_oset = t_oset.restrict(s_mask)
-                for i in s_oset.order:
-                    if scheme.share(i, s_oset) < scheme.share(i, t_oset) - tol:
+                s_order = tuple(i for i in t_order if s_mask >> i & 1)
+                for i, share in zip(s_order, row_shares(scheme, s_order)):
+                    if share < t_shares[i] - tol:
                         cross = False
     beta = max(beta_ratios)
     if not upper_ok:
@@ -288,10 +257,16 @@ def random_table(seed, n, monotone):
 
 
 PATHOLOGICAL_SCHEMES = (
-    CostShareScheme(lambda i, oset: 0.0, label="zero"),
-    CostShareScheme(lambda i, oset: 0.4, label="flat"),
-    CostShareScheme(lambda i, oset: 1.0 / len(oset.order), label="equal-split"),
-    CostShareScheme(lambda i, oset: 1.0, label="overcharge"),
+    CostShareScheme(lambda orders: np.zeros(orders.shape), label="zero"),
+    CostShareScheme(lambda orders: np.full(orders.shape, 0.4), label="flat"),
+    CostShareScheme(lambda orders: np.full(orders.shape, 1.0 / orders.shape[1]), label="equal-split"),
+    CostShareScheme(lambda orders: np.ones(orders.shape), label="overcharge"),
+)
+
+# NaN on pairs, else growing with the set: only comparisons without NaN fail.
+NAN_SCHEME = CostShareScheme(
+    lambda orders: np.full(orders.shape, math.nan if orders.shape[1] == 2 else float(orders.shape[1])),
+    label="nan",
 )
 
 
@@ -345,12 +320,17 @@ class TestCertifyAgainstReference:
         assert certify(scheme, f, tol) == reference_certify(scheme, f, tol)
 
 
-def all_orderings(n, k):
-    return [
-        order
-        for members in itertools.combinations(range(n), k)
-        for order in itertools.permutations(members)
-    ]
+def counted(scheme):
+    """The scheme with its share oracle rebound, the way a tracer counts
+    calls, and the list of the batches it is asked for."""
+    calls = []
+
+    @functools.wraps(scheme.share)
+    def share(orders):
+        calls.append(orders.copy())
+        return scheme.share(orders)
+
+    return dataclasses.replace(scheme, share=share), calls
 
 
 class TestBatchShares:
@@ -361,82 +341,87 @@ class TestBatchShares:
         scheme = incremental_scheme(f)
         for k in range(1, n + 1):
             orders = all_orderings(n, k)
-            scalar = [[scheme.share(i, OrderedSet.from_order(o)) for i in o] for o in orders]
-            assert scheme.shares(np.array(orders)).tolist() == scalar
-
-    def test_default_batch_loops_over_share(self):
-        scheme = CostShareScheme(lambda i, oset: i + 0.5 * len(oset.order), label="custom")
-        orders = np.array(all_orderings(4, 3))
-        expected = [[i + 1.5 for i in o] for o in orders.tolist()]
-        assert scheme.shares(orders).tolist() == expected
+            expected = [incremental_reference(f, o) for o in orders]
+            assert scheme.share(np.array(orders)).tolist() == expected
 
     def test_replacing_share_drops_the_batch_oracle(self):
+        # dataclasses.replace keeps nothing of the old oracle: certify reads
+        # the new one only.
         f = random_table(3, 4, False)
         scheme = incremental_scheme(f)
-        calls = []
-
-        def counted(i, oset):
-            calls.append(i)
-            return scheme.share(i, oset)
-
-        wrapped = dataclasses.replace(scheme, share=counted)
-        assert certify(wrapped, f) == certify(scheme, f)
-        assert len(calls) == sum(math.perm(4, k) * k for k in range(1, 5))
+        zero = CostShareScheme(lambda orders: np.zeros(orders.shape), label="zero")
+        replaced = dataclasses.replace(scheme, share=zero.share)
+        assert certify(replaced, f) == certify(zero, f) != certify(scheme, f)
 
     def test_share_wrapped_with_functools_wraps_is_called(self):
         # functools.wraps copies the oracle's attributes onto the wrapper;
-        # the wrapper still answers batches through itself.
+        # the wrapper still answers each batch itself, in one call.
         f = random_table(4, 3, True)
         scheme = incremental_scheme(f)
-        calls = []
-
-        @functools.wraps(scheme.share)
-        def counted(i, oset):
-            calls.append(i)
-            return scheme.share(i, oset)
-
-        wrapped = dataclasses.replace(scheme, share=counted)
+        wrapped, calls = counted(scheme)
+        assert wrapped.share.__wrapped__ is scheme.share
         orders = np.array(all_orderings(3, 3))
-        assert wrapped.shares(orders).tolist() == scheme.shares(orders).tolist()
-        assert len(calls) == orders.size
+        assert wrapped.share(orders).tolist() == scheme.share(orders).tolist()
+        assert len(calls) == 1 and calls[0].tolist() == orders.tolist()
 
 
-def reference_partial_prefix(scheme, split_map, tol=1e-9):
-    """From-scratch reference for partial_prefix_cross_monotone: block
-    orderings built with permutations, submasks walked one by one, each
-    restriction made through OrderedSet.restrict and asked for its shares."""
-    n = split_map.n_new
-    labels = split_map.labels
-    for t in range(1, 1 << n):
-        t_members = [i for i in range(n) if t >> i & 1]
-        groups = [
-            [c for c in t_members if labels[c] == lbl]
-            for lbl in sorted({labels[c] for c in t_members}, reverse=True)
-        ]
-        t_orders = [()]
-        for group in groups:
-            t_orders = [head + perm for head in t_orders for perm in itertools.permutations(group)]
-        for t_order in t_orders:
-            t_oset = OrderedSet(t, t_order)
-            shares_t = {i: scheme.share(i, t_oset) for i in t_members}
-            for sub in range(1, t):
-                if sub & ~t:
-                    continue
-                kept = [labels[i] for i in t_members if sub >> i & 1]
-                added = [labels[i] for i in t_members if not sub >> i & 1]
-                if min(kept) >= max(added):
-                    s_oset = t_oset.restrict(sub)
-                    for i in s_oset.order:
-                        if scheme.share(i, s_oset) < shares_t[i] - tol:
-                            return False
-    return True
+class TestReplacedShare:
+    """A scheme whose `share` is replaced answers through the replacement:
+    certify and partial_prefix_cross_monotone ask it once per set size and
+    get the results the unwrapped scheme gives."""
+
+    def test_incremental_certify(self):
+        f = random_table(3, 4, False)
+        scheme = incremental_scheme(f)
+        wrapped, calls = counted(scheme)
+        assert certify(wrapped, f) == certify(scheme, f)
+        assert [batch.shape for batch in calls] == [(math.perm(4, k), k) for k in range(1, 5)]
+
+    def test_lifted_certify(self):
+        base = threshold_instance(2)
+        split_inst, split_map = split_instance(base, [2, 1])
+        lifted = lift_scheme(incremental_scheme(base.function), split_map)
+        wrapped, calls = counted(lifted)
+        g = split_inst.function
+        assert certify(wrapped, g) == certify(lifted, g)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["incremental", "lifted"])
+    def test_partial_prefix(self, lift):
+        base = threshold_instance(2)
+        split_inst, split_map = split_instance(base, [2, 2])
+        if lift:
+            scheme = lift_scheme(incremental_scheme(base.function), split_map)
+        else:
+            scheme = incremental_scheme(split_inst.function)
+        wrapped, calls = counted(scheme)
+        got = partial_prefix_cross_monotone(wrapped, split_map)
+        assert got == partial_prefix_cross_monotone(scheme, split_map)
+        # one batch per set size, holding the 60 shares of the block-respecting orderings
+        assert len(calls) == 4 and sum(batch.size for batch in calls) == 60
+        labels = np.asarray(split_map.labels)
+        assert all((labels[batch][:, 1:] <= labels[batch][:, :-1]).all() for batch in calls)
 
 
-def random_split_case(seed):
+def reference_lift(scheme, split_map, order):
+    """The lifted shares of one ordering from the definition: project it onto
+    the originals by first appearance, ask the base for that one row, give
+    each original's share to its first-appearing copy and 0.0 to the rest."""
+    projected, first_positions = [], []
+    for p, c in enumerate(order):
+        o = split_map.original_of[c]
+        if o not in projected:
+            projected.append(o)
+            first_positions.append(p)
+    out = [0.0] * len(order)
+    for p, share in zip(first_positions, row_shares(scheme, projected)):
+        out[p] = share
+    return out
+
+
+def random_split(seed):
     """A random base function on n <= 3 elements, split into n' <= 6 copies
-    with default labels or custom labels that tie, and a scheme on the split:
-    the lifted incremental scheme, or the incremental scheme of the split
-    function itself."""
+    with default labels or custom labels that tie."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     counts = [int(c) for c in rng.integers(1, 6 // n + 1, n)]
@@ -453,15 +438,66 @@ def random_split_case(seed):
     if seed % 3 == 0:
         labels = [int(v) for v in rng.integers(0, 3, sum(counts))]
     split_inst, split_map = split_instance(Instance(f, [0.5] * n), counts, labels)
+    return f, split_inst, split_map
+
+
+def random_split_case(seed):
+    """A random split and a scheme on it: the lifted incremental scheme, or
+    the incremental scheme of the split function itself."""
+    f, split_inst, split_map = random_split(seed)
     if seed % 5 == 0:
         return incremental_scheme(split_inst.function), split_map
     return lift_scheme(incremental_scheme(f), split_map), split_map
 
 
-# NaN on pairs, else growing with the set: only comparisons without NaN fail.
-NAN_SCHEME = CostShareScheme(
-    lambda i, oset: math.nan if len(oset.order) == 2 else float(len(oset.order)), label="nan"
-)
+class TestLiftAgainstReference:
+    """Every lifted batch equals the from-definition lift bit for bit, over
+    every ordering of every size, for incremental and other base schemes."""
+
+    def test_random_splits(self):
+        sizes = set()
+        for seed in range(60):
+            f, _, split_map = random_split(seed)
+            n = split_map.n_new
+            sizes.add(n)
+            for base in (incremental_scheme(f),) + PATHOLOGICAL_SCHEMES + (NAN_SCHEME,):
+                lifted = lift_scheme(base, split_map)
+                for k in range(1, n + 1):
+                    orders = all_orderings(n, k)
+                    expected = np.array([reference_lift(base, split_map, o) for o in orders])
+                    assert lifted.share(np.array(orders)).tobytes() == expected.tobytes(), seed
+        assert sizes == set(range(1, 7))
+
+
+def reference_partial_prefix(scheme, split_map, tol=1e-9):
+    """From-scratch reference for partial_prefix_cross_monotone: block
+    orderings built with permutations, submasks walked one by one, each
+    restriction made by filtering the ordering's tuple and asked for its
+    shares as a one-row batch."""
+    n = split_map.n_new
+    labels = split_map.labels
+    for t in range(1, 1 << n):
+        t_members = [i for i in range(n) if t >> i & 1]
+        groups = [
+            [c for c in t_members if labels[c] == lbl]
+            for lbl in sorted({labels[c] for c in t_members}, reverse=True)
+        ]
+        t_orders = [()]
+        for group in groups:
+            t_orders = [head + perm for head in t_orders for perm in itertools.permutations(group)]
+        for t_order in t_orders:
+            shares_t = dict(zip(t_order, row_shares(scheme, t_order)))
+            for sub in range(1, t):
+                if sub & ~t:
+                    continue
+                kept = [labels[i] for i in t_members if sub >> i & 1]
+                added = [labels[i] for i in t_members if not sub >> i & 1]
+                if min(kept) >= max(added):
+                    s_order = tuple(i for i in t_order if sub >> i & 1)
+                    for i, share in zip(s_order, row_shares(scheme, s_order)):
+                        if share < shares_t[i] - tol:
+                            return False
+    return True
 
 
 class TestPartialPrefixAgainstReference:
@@ -488,18 +524,20 @@ class TestPartialPrefixAgainstReference:
             assert got == reference_partial_prefix(candidate, split_map)
 
     def test_one_share_call_per_element_of_each_block_ordering(self):
+        # every block-respecting ordering is asked for once, so each of its
+        # elements gets one share: 60 shares at [2, 2]
         base = threshold_instance(2)
         _, split_map = split_instance(base, [2, 2])
         lifted = lift_scheme(incremental_scheme(base.function), split_map)
-        calls = []
-
-        def counted(i, oset):
-            calls.append((i, oset.order))
-            return lifted.share(i, oset)
-
-        assert partial_prefix_cross_monotone(dataclasses.replace(lifted, share=counted), split_map)
-        assert len(calls) == len(set(calls)) == 60
+        wrapped, calls = counted(lifted)
+        assert partial_prefix_cross_monotone(wrapped, split_map)
+        rows = [tuple(row) for batch in calls for row in batch.tolist()]
         labels = split_map.labels
-        assert all(
-            all(labels[a] >= labels[b] for a, b in itertools.pairwise(order)) for _, order in calls
-        )
+        respecting = {
+            order
+            for k in range(1, 5)
+            for order in all_orderings(4, k)
+            if all(labels[a] >= labels[b] for a, b in itertools.pairwise(order))
+        }
+        assert len(rows) == len(set(rows)) and set(rows) == respecting
+        assert sum(map(len, rows)) == 60
