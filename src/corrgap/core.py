@@ -54,14 +54,6 @@ def as_int(x, what: str) -> int:
     return int(x)
 
 
-def as_bool(x, what: str) -> bool:
-    """x as a bool. Numbers, strings and null are refused, although bool()
-    reads "false" and 1 as true."""
-    if not isinstance(x, (bool, np.bool_)):
-        raise ValidationError(f"{what} must be true or false, got {x!r}")
-    return bool(x)
-
-
 def mask_of(elements: Sequence[int], n: int) -> int:
     mask = 0
     for i in elements:

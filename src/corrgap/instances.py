@@ -48,7 +48,7 @@ def two_stage_flow_space(n: int = 4) -> DecisionSpace:
     exponentially. Every induced cost function is supermodular."""
     if not 2 <= n <= 12:
         raise ValidationError("two-stage flow family is built for 2 <= n <= 12")
-    decisions = [Decision(str(x), TwoStageFlow(n, x), supermodular=True) for x in range(n + 1)]
+    decisions = [Decision(str(x), TwoStageFlow(n, x)) for x in range(n + 1)]
     return DecisionSpace([0.5] * n, decisions)
 
 

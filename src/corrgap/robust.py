@@ -2,9 +2,12 @@
 cost of decision x, the robust and independent argmins, and the ratio
 g(x_I) / g(x_R) with the sandwich chain g(x_R) >= E_I(x_R) >= E_I(x_I).
 
-The product distribution has the decisions' common marginals, so
-E_I(x) <= g(x) for every x: the robust argmin skips the scenario LP of any
-unflagged decision whose E_I already lies above the least g found so far.
+Every evaluated g is the scenario LP's value. For supermodular f (the
+two-stage flow family) its simplex starts on the nested prefix chain, the
+closed form's support, so it prices once and stops there. The product
+distribution has the decisions' common marginals, so E_I(x) <= g(x) for
+every x: the robust argmin skips the scenario LP of any decision whose E_I
+already lies above the least g found so far.
 """
 
 from __future__ import annotations
@@ -13,23 +16,19 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_bool, as_real, function_from_json
+from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_real, function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
-from .worst_case import CERT_TOL, supermodular_worst_case, unit_scale, verify_certificate, worst_case_lp
+from .worst_case import CERT_TOL, unit_scale, worst_case_lp
 
 
 @dataclass(frozen=True)
 class Decision:
     label: str
     function: SetFunction
-    supermodular: bool = False
 
     def to_json(self) -> dict:
-        data = {"label": self.label, "function": self.function.to_json()}
-        if self.supermodular:
-            data["supermodular"] = True
-        return data
+        return {"label": self.label, "function": self.function.to_json()}
 
 
 class DecisionSpace:
@@ -62,11 +61,7 @@ class DecisionSpace:
     def from_json(cls, data: dict) -> "DecisionSpace":
         try:
             decisions = [
-                Decision(
-                    str(entry["label"]),
-                    function_from_json(entry["function"]),
-                    as_bool(entry.get("supermodular", False), "decision supermodular flag"),
-                )
+                Decision(str(entry["label"]), function_from_json(entry["function"]))
                 for entry in data["decisions"]
             ]
             return cls(data["marginals"], decisions)
@@ -75,21 +70,10 @@ class DecisionSpace:
 
 
 def evaluate_g(space: DecisionSpace, decision: Decision | int) -> float:
-    """Worst-case expected cost of one decision. A decision flagged
-    supermodular takes the closed form, accepted only if its greedy dual
-    passes verify_certificate; any other decision solves the scenario LP."""
+    """Worst-case expected cost of one decision: the scenario LP's value."""
     if isinstance(decision, int):
         decision = space.decisions[decision]
-    inst = space.instance_for(decision)
-    if decision.supermodular:
-        closed = supermodular_worst_case(inst)
-        if not verify_certificate(inst, closed):
-            raise ValidationError(
-                f"closed form {closed.value} fails its certificate for decision "
-                f"{decision.label!r}; the supermodular flag looks wrong"
-            )
-        return closed.value
-    return worst_case_lp(inst).value
+    return worst_case_lp(space.instance_for(decision)).value
 
 
 @dataclass(frozen=True)
@@ -119,12 +103,12 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     independent decision, the ratio g(x_I)/g(x_R), and a numeric check of
     g(x_R) >= E_I(x_R) >= E_I(x_I) within CHECK_TOL * max unit_scale(f) of the two.
 
-    Decisions are visited by ascending (E_I, index), x_I first. x_I and
-    every flagged decision are always evaluated; any other x is skipped when
-    E_I(x) - CERT_TOL * unit_scale(f_x) exceeds the least g so far. The LP
-    stops within LP_TOL * unit_scale(f_x) of g(x) >= E_I(x), so a skipped x
-    has g(x) above that least g and cannot be x_R: the report is the one
-    that evaluating every g gives."""
+    Decisions are visited by ascending (E_I, index), x_I first. x_I is
+    always evaluated; any other x is skipped when E_I(x) - CERT_TOL *
+    unit_scale(f_x) exceeds the least g so far. The LP stops within LP_TOL *
+    unit_scale(f_x) of g(x) >= E_I(x), so a skipped x has g(x) above that
+    least g and cannot be x_R: the report is the one that evaluating every g
+    gives."""
     decisions = space.decisions
     indep_values = [independent_expectation_exact(d.function, space.marginals) for d in decisions]
     indep_idx = min(range(len(decisions)), key=lambda k: (indep_values[k], k))
@@ -135,7 +119,7 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     order.remove(indep_idx)  # already first unless some E_I is NaN
     for k in [indep_idx, *order]:
         d = decisions[k]
-        if not d.supermodular and indep_values[k] - CERT_TOL * unit_scale(d.function.values()) > g_min:
+        if indep_values[k] - CERT_TOL * unit_scale(d.function.values()) > g_min:
             continue
         g_values[k] = evaluate_g(space, d)
         g_min = min(g_min, g_values[k])

@@ -19,6 +19,7 @@ from .core import (
     SetFunction,
     SizeCapError,
     ValidationError,
+    elements_of,
     is_monotone,
 )
 from .distributions import ScenarioDistribution
@@ -61,9 +62,6 @@ class SplitMap:
     @property
     def n_new(self) -> int:
         return len(self.original_of)
-
-    def copies_of(self, i: int) -> list[int]:
-        return [j for j, o in enumerate(self.original_of) if o == i]
 
     def project(self, mask: int) -> int:
         """Collapse a subset of copies to the original elements it touches."""
@@ -222,67 +220,39 @@ class PartitionReduction:
         }
 
 
-def _shared_element(support: Sequence[tuple[int, float]], n: int) -> tuple[int, list[int]] | None:
-    for i in range(n):
-        holders = [k for k, (mask, _) in enumerate(support) if mask >> i & 1]
-        if len(holders) > 1:
-            return i, holders
-    return None
-
-
 def reduce_to_partition(inst: Instance, dist: ScenarioDistribution) -> PartitionReduction:
-    """Split, one element at a time, every element shared by two support sets,
-    giving each support set its own copy, until the (nonempty) support sets are
-    pairwise disjoint. The expected function value is untouched at every step;
-    marginals of the result are those of the rewritten distribution.
+    """Split in one step every element shared by several support sets: i
+    gets one copy per support set holding it (at least one), and the r-th
+    holder of i, in support order, takes i's r-th copy. The nonempty support
+    sets become pairwise disjoint, each copy's marginal is one support
+    probability, and f'(S') = f(Pi(S')) leaves every scenario's cost, so the
+    expected function value, untouched.
 
     This is inspectable proof machinery, not an optimisation step.
     """
-    expectation_before = dist.expectation(inst.function)
-    current = inst
-    support = list(dist.support)
-    steps: list[PartitionStep] = []
+    support = dist.support
+    counts = [max(1, sum(mask >> i & 1 for mask, _ in support)) for i in range(inst.n)]
+    split_map = SplitMap.build(counts)
+    next_copy = [split_map.original_of.index(i) for i in range(inst.n)]  # i's next free copy
+    new_support = []
+    for mask, prob in support:
+        new_mask = 0
+        for i in elements_of(mask):
+            new_mask |= 1 << next_copy[i]
+            next_copy[i] += 1
+        new_support.append((new_mask, prob))
 
-    while True:
-        shared = _shared_element(support, current.n)
-        if shared is None:
-            break
-        element, holders = shared
-        copies = len(holders)
-        counts = [1] * current.n
-        counts[element] = copies
-        split_map = SplitMap.build(counts)
-        function = ProjectedFunction(current.function, split_map)
-
-        position = {i: split_map.copies_of(i)[0] for i in range(current.n)}
-        copy_slots = split_map.copies_of(element)
-        new_support = []
-        holder_rank = {k: r for r, k in enumerate(holders)}
-        for k, (mask, prob) in enumerate(support):
-            new_mask = 0
-            for i in range(current.n):
-                if mask >> i & 1 and i != element:
-                    new_mask |= 1 << position[i]
-            if mask >> element & 1:
-                new_mask |= 1 << copy_slots[holder_rank[k]]
-            new_support.append((new_mask, prob))
-
-        new_dist = ScenarioDistribution(function.n, new_support)
-        current = Instance(function, new_dist.marginals().tolist())
-        support = list(new_dist.support)
-        steps.append(PartitionStep(element, copies))
-
-    final_dist = ScenarioDistribution(current.n, support)
-    expectation_after = final_dist.expectation(current.function)
+    final_dist = ScenarioDistribution(split_map.n_new, new_support)
+    function = ProjectedFunction(inst.function, split_map)
     nonempty = [mask for mask, _ in final_dist.support if mask]
     disjoint = all(
         not (a & b) for idx, a in enumerate(nonempty) for b in nonempty[idx + 1 :]
     )
     return PartitionReduction(
-        instance=current,
+        instance=Instance(function, final_dist.marginals().tolist()),
         distribution=final_dist,
-        steps=tuple(steps),
-        expectation_before=expectation_before,
-        expectation_after=expectation_after,
+        steps=tuple(PartitionStep(i, c) for i, c in enumerate(counts) if c > 1),
+        expectation_before=dist.expectation(inst.function),
+        expectation_after=final_dist.expectation(function),
         is_partition=disjoint,
     )

@@ -9,6 +9,7 @@ import pytest
 
 from corrgap import instances
 from corrgap.cli import _build_parser, _load_source, main
+from corrgap.distributions import MAX_SAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,11 @@ class TestOtherCommands:
         code, _, _ = run_cli(capsys, "certify-scheme", "--builtin", "example3", "--n", "8")
         assert code == 3
 
+    def test_gap_samples_cap(self, capsys):
+        samples = str(MAX_SAMPLES + 1)
+        code, out, err = run_cli(capsys, "gap", "--builtin", "example3", "--samples", samples, "--seed", "1")
+        assert code == 3 and out == "" and "samples exceeds cap" in err
+
     def test_list_instances(self, capsys):
         code, out, _ = run_cli(capsys, "list-instances")
         assert code == 0
@@ -445,10 +451,18 @@ def instance_with(function, marginals=None, **fields):
     return {"function": {**function, **fields}, "marginals": marginals}
 
 
-def space_with_flag(flag):
-    """A one-decision space whose decision carries `"supermodular": flag`."""
-    decision = {"label": "a", "function": ZERO_TABLE, "supermodular": flag}
-    return {"marginals": [0.5, 0.5], "decisions": [decision]}
+def with_supermodular_key(space, flag):
+    """`space` with `"supermodular": flag` on every decision. The key once
+    sent a decision to the closed form; readers now ignore it."""
+    return {**space, "decisions": [{**d, "supermodular": flag} for d in space["decisions"]]}
+
+
+def robust_stdout(capsys, tmp_path, space):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code, out, err = run_cli(capsys, "robust", "--instance", str(path))
+    assert code == 0, err
+    return out
 
 
 class TestNumericFields:
@@ -469,10 +483,11 @@ class TestNumericFields:
     def test_well_typed_payloads_load(self, capsys, tmp_path, payload):
         run_strict_json(capsys, tmp_path, payload, "gap")
 
-    @pytest.mark.parametrize("flag", [True, False])
-    def test_bool_supermodular_flag_loads(self, capsys, tmp_path, flag):
-        data = run_strict_json(capsys, tmp_path, space_with_flag(flag), "robust")
-        assert data["chain_ok"] is True
+    @pytest.mark.parametrize("flag", [True, False, "false", 1, None])
+    def test_supermodular_key_is_ignored(self, capsys, tmp_path, flag):
+        space = {"marginals": [0.5, 0.5], "decisions": [{"label": "a", "function": ZERO_TABLE}]}
+        flagged = robust_stdout(capsys, tmp_path, with_supermodular_key(space, flag))
+        assert flagged == robust_stdout(capsys, tmp_path, space)
 
     @pytest.mark.parametrize(
         "payload",
@@ -491,9 +506,6 @@ class TestNumericFields:
             instance_with(FACILITY, base_cost="2"),
             instance_with(FACILITY, pre_open=[1.0]),
             {"marginals": ["0.5", 0.5], "decisions": [{"label": "a", "function": ZERO_TABLE}]},
-            space_with_flag("false"),
-            space_with_flag(1),
-            space_with_flag(None),
         ],
         ids=[
             "values-strings",
@@ -510,9 +522,6 @@ class TestNumericFields:
             "base-cost-string",
             "pre-open-float",
             "space-marginals-string",
-            "supermodular-string",
-            "supermodular-int",
-            "supermodular-null",
         ],
     )
     def test_wrong_type_exits_2(self, capsys, tmp_path, payload):
@@ -669,15 +678,6 @@ class TestUnitsOfF:
         data = run_strict_json(capsys, tmp_path, payload, "gap")
         assert data["kappa"] == pytest.approx(27 / 19, rel=1e-9)
 
-    def test_robust_closed_form_check_at_1e12(self, capsys, tmp_path):
-        # the closed form and the LP differ by 2^-10 here: rounding at 1e12
-        inst = instances.random_supermodular_instance(2, 6)
-        function = scaled_table(inst.function.values(), 1e12)
-        decision = {"label": "s", "function": function, "supermodular": True}
-        space = {"marginals": list(inst.marginals), "decisions": [decision]}
-        data = run_strict_json(capsys, tmp_path, space, "robust")
-        assert data["x_R"] == "s" and data["chain_ok"] is True
-
     @pytest.mark.parametrize("s", [1e12, 1e-12])
     def test_certify_scheme_on_a_scaled_coverage_table(self, capsys, tmp_path, s):
         # absolute tolerances read cross_monotone False at 1e12, eta_star 0 at 1e-12
@@ -701,14 +701,20 @@ class TestUnitsOfF:
         assert code == 2 and out == ""
         assert err.startswith("error: f is subnormal") and err.count("\n") == 1
 
-    def test_robust_wrong_flag_at_1e12_exits_2(self, capsys, tmp_path):
-        inst = instances.threshold_instance(3)  # submodular, not supermodular
+    @pytest.mark.parametrize(
+        "inst",
+        [instances.random_supermodular_instance(2, 6), instances.threshold_instance(3)],
+        ids=["supermodular", "threshold"],
+    )
+    def test_robust_ignores_the_supermodular_key_at_1e12(self, capsys, tmp_path, inst):
+        # the key once took the closed form (2^-10 off the LP on the
+        # supermodular table) or exited 2 (on the submodular threshold)
         function = scaled_table(inst.function.values(), 1e12)
-        decision = {"label": "t", "function": function, "supermodular": True}
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps({"marginals": list(inst.marginals), "decisions": [decision]}))
-        code, out, err = run_cli(capsys, "robust", "--instance", str(path))
-        assert code == 2 and out == "" and "supermodular flag looks wrong" in err
+        space = {"marginals": list(inst.marginals), "decisions": [{"label": "s", "function": function}]}
+        out = robust_stdout(capsys, tmp_path, space)
+        assert out == robust_stdout(capsys, tmp_path, with_supermodular_key(space, True))
+        data = json.loads(out)
+        assert data["x_R"] == "s" and data["chain_ok"] is True
 
 
 class TestConsoleEntry:

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import corrgap
+import corrgap.distributions as distributions
 from corrgap.core import CoverageMax, SizeCapError, TableFunction, TwoStageFlow, ValidationError
 from corrgap.distributions import (
     _DOT_BLOCK,
     _MC_CHUNK,
+    MAX_SAMPLES,
     ScenarioDistribution,
     _dot,
     _product_weights,
@@ -25,6 +27,14 @@ from corrgap.rng import SplitMix64, counter_uniforms
 
 def threshold(n):
     return TableFunction([0.0] + [1.0] * ((1 << n) - 1))
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+def _refuse_draw(*args):
+    raise _FirstDraw
 
 
 class TestMarginals:
@@ -227,6 +237,17 @@ class TestMonteCarlo:
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
             independent_expectation_mc(threshold(2), [0.5, 0.5], 0, seed=1)
+
+    def test_sample_count_above_cap_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(distributions, "counter_uniforms", _refuse_draw)
+        with pytest.raises(SizeCapError):
+            independent_expectation_mc(threshold(2), [0.5, 0.5], MAX_SAMPLES + 1, seed=1)
+
+    def test_sample_count_at_cap_passes_the_check(self, monkeypatch):
+        # the first draw is where the check has let the count through
+        monkeypatch.setattr(distributions, "counter_uniforms", _refuse_draw)
+        with pytest.raises(_FirstDraw):
+            independent_expectation_mc(threshold(2), [0.5, 0.5], MAX_SAMPLES, seed=1)
 
     @pytest.mark.parametrize("n", [1, 8, 9, 16, 17])
     @pytest.mark.parametrize("samples", [1, 2**11 - 1, 2**11 + 1, 2**15 + 1])

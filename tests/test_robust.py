@@ -9,7 +9,7 @@ import corrgap.worst_case as wc
 from corrgap.core import CHECK_TOL, TableFunction, ValidationError, unit_scale
 from corrgap.distributions import independent_expectation_exact
 from corrgap.gap import safe_ratio
-from corrgap.instances import build_builtin, threshold_instance, two_stage_flow_space
+from corrgap.instances import build_builtin, two_stage_flow_space
 from corrgap.robust import (
     Decision,
     DecisionSpace,
@@ -99,21 +99,10 @@ class TestDecisionSpace:
                 ],
             )
 
-    def test_wrong_supermodular_flag_caught(self):
-        # the threshold function is submodular, so the closed form undershoots
-        # the LP and the cross-check must fire
-        inst = threshold_instance(3)
-        space = DecisionSpace(
-            inst.marginals, [Decision("x", inst.function, supermodular=True)]
-        )
-        with pytest.raises(ValidationError):
-            evaluate_g(space, 0)
-
-    @pytest.mark.parametrize("flag", [True, False])
-    def test_subnormal_decision_refused(self, flag):
+    def test_subnormal_decision_refused(self):
         s = 1e-310
         f = TableFunction([0.0, s, s, 3 * s])
-        space = DecisionSpace([0.3, 0.6], [Decision("tiny", f, supermodular=flag)])
+        space = DecisionSpace([0.3, 0.6], [Decision("tiny", f)])
         with pytest.raises(ValidationError, match="subnormal"):
             approximation_ratio(space)
 
@@ -130,18 +119,8 @@ class TestDecisionSpace:
 
 
 def exhaustive_report(space: DecisionSpace) -> RobustSolveReport:
-    """approximation_ratio without pruning: g of every decision, each flagged
-    one as its closed form checked against the LP to 1e-6 * unit_scale(f)."""
-    g_values = []
-    for d in space.decisions:
-        inst = space.instance_for(d)
-        lp = worst_case_lp(inst).value
-        if d.supermodular:
-            closed = supermodular_worst_case(inst).value
-            if abs(closed - lp) > 1e-6 * unit_scale(d.function.values()):
-                raise ValidationError("the supermodular flag looks wrong")
-            lp = closed
-        g_values.append(lp)
+    """approximation_ratio without pruning: the scenario LP of every decision."""
+    g_values = [worst_case_lp(space.instance_for(d)).value for d in space.decisions]
     indep = [independent_expectation_exact(d.function, space.marginals) for d in space.decisions]
     r = min(range(len(g_values)), key=lambda k: (g_values[k], k))
     i = min(range(len(indep)), key=lambda k: (indep[k], k))
@@ -192,8 +171,8 @@ def supermodular_table(n, base, weights, pairs):
 @st.composite
 def mixed_spaces(draw):
     """Spaces of 1-8 decisions over n <= 4, drawn with repetition from a
-    pool of small-integer tables (unflagged) and supermodular tables (flagged
-    or not), so ties in E_I and in g are common."""
+    pool of small-integer tables and supermodular tables, so ties in E_I and
+    in g are common."""
     n = draw(st.integers(1, 4))
     marginals = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
     small = st.integers(-2, 3).map(float)
@@ -201,7 +180,7 @@ def mixed_spaces(draw):
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             values = draw(st.lists(small, min_size=1 << n, max_size=1 << n))
-            pool.append((TableFunction(values), False))
+            pool.append(TableFunction(values))
         else:
             f = supermodular_table(
                 n,
@@ -209,9 +188,9 @@ def mixed_spaces(draw):
                 draw(st.lists(small, min_size=n, max_size=n)),
                 draw(st.lists(st.integers(0, 2).map(float), min_size=n * n, max_size=n * n)),
             )
-            pool.append((f, draw(st.booleans())))
+            pool.append(f)
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
-    decisions = [Decision(str(j), *pool[k]) for j, k in enumerate(picks)]
+    decisions = [Decision(str(j), pool[k]) for j, k in enumerate(picks)]
     return DecisionSpace(marginals, decisions)
 
 
@@ -241,20 +220,33 @@ class TestPrunedRobustSolve:
         approximation_ratio(space)
         assert len(space.decisions) == 5 and calls[0] == 3
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_flagged_family_solves_no_lp(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_two_stage_family_solves_two_lps_on_the_prefix_chain(self, monkeypatch, n):
+        # every f is supermodular: each simplex starts on the closed form's
+        # prefix chain, prices once and stops at 0 pivots with g bit-equal to
+        # the closed form; the skip rule leaves x_I and one more decision
         space = two_stage_flow_space(n)
         expected = exhaustive_report(space)
+        solved = []
+        solve = robust.worst_case_lp
 
-        def refuse(*args):
-            raise AssertionError("scenario LP solved")
+        def recorded(inst):
+            result = solve(inst)
+            solved.append((inst, result))
+            return result
 
-        monkeypatch.setattr(wc, "_simplex_max", refuse)
+        monkeypatch.setattr(robust, "worst_case_lp", recorded)
         assert approximation_ratio(space) == expected
+        assert len(solved) == (1 if n == 2 else 2)
+        for inst, result in solved:
+            assert result.stats == wc.SimplexStats(0, 0, None, 0)
+            chain = wc.prefix_chain(inst.marginals)[1]
+            assert {mask for mask, _ in result.distribution.support} <= set(chain)
+            assert result.value == supermodular_worst_case(inst).value
 
-    def test_flagged_decision_after_a_skipped_one_is_evaluated(self, monkeypatch):
-        # "low" is x_I with g = 1; "high" (E_I = 2) is skipped; the flagged
-        # decisions come later in E_I order and are still checked
+    def test_supermodular_decision_after_a_skipped_one_is_skipped(self, monkeypatch):
+        # "low" is x_I with g = 1; "high" (E_I = 2) and the supermodular
+        # "super" (E_I = 3.25) both lie above that g and are skipped
         evaluated = []
         evaluate = robust.evaluate_g
 
@@ -265,16 +257,11 @@ class TestPrunedRobustSolve:
         monkeypatch.setattr(robust, "evaluate_g", spy)
         low = Decision("low", TableFunction([1.0] * 4))
         high = Decision("high", TableFunction([2.0] * 4))
-        good = Decision("super", TableFunction([3.0, 3.0, 3.0, 4.0]), supermodular=True)
+        good = Decision("super", TableFunction([3.0, 3.0, 3.0, 4.0]))
         space = DecisionSpace([0.5, 0.5], [high, good, low])
-        assert approximation_ratio(space).x_robust == "low"
-        assert evaluated == ["low", "super"]
-
-        evaluated.clear()
-        wrong = Decision("sub", TableFunction([0.0, 3.0, 3.0, 3.0]), supermodular=True)
-        with pytest.raises(ValidationError, match="supermodular flag looks wrong"):
-            approximation_ratio(DecisionSpace([0.5, 0.5], [high, wrong, low]))
-        assert evaluated == ["low", "sub"]
+        report = approximation_ratio(space)
+        assert evaluated == ["low"]
+        assert report == exhaustive_report(space) and report.x_robust == "low"
 
     def test_decision_whose_e_i_ties_the_least_g_is_evaluated(self, monkeypatch):
         # x_I = "pair" (E_I = 1, g = 2) comes first; "flat" has E_I = g = 2,

@@ -21,7 +21,6 @@ class TestSplitMap:
         assert m.n == 3 and m.n_new == 6
         assert m.original_of == (0, 0, 1, 2, 2, 2)
         assert m.labels == (1, 2, 1, 1, 2, 3)
-        assert m.copies_of(2) == [3, 4, 5]
 
     def test_projection_examples(self):
         m = SplitMap.build([2, 2])
@@ -178,3 +177,26 @@ class TestPartitionReduction:
         assert np.allclose(
             red.distribution.marginals(), np.array(red.instance.marginals), atol=1e-12
         )
+
+    def test_element_in_every_support_set_keeps_marginals_in_range(self):
+        # splitting one element at a time took element 2's marginal as the
+        # rounded sum of all three probabilities, one ulp above 1
+        support = ((5, 0.22981132707637927), (13, 0.5991386976116708), (14, 0.1710499753119501))
+        probs = [prob for _, prob in support]
+        for seed in range(5):
+            inst = random_monotone_instance(seed, 4)
+            red = reduce_to_partition(inst, ScenarioDistribution(4, support))
+            assert red.is_partition
+            assert [(s.element, s.copies) for s in red.steps] == [(0, 2), (2, 3), (3, 2)]
+            assert red.instance.marginals == (*probs, *probs, *probs[1:])
+            assert red.expectation_after == red.expectation_before
+
+    def test_holders_take_copies_in_support_order(self):
+        inst = random_monotone_instance(6, 3)
+        dist = ScenarioDistribution(3, [(0b011, 0.5), (0b101, 0.25), (0b110, 0.25)])
+        red = reduce_to_partition(inst, dist)
+        # copies: 0 -> (0, 1), 1 -> (2, 3), 2 -> (4, 5); every element has two holders
+        assert [(s.element, s.copies) for s in red.steps] == [(0, 2), (1, 2), (2, 2)]
+        assert red.distribution.support == ((0b000101, 0.5), (0b010010, 0.25), (0b101000, 0.25))
+        split_map = red.instance.function.split_map
+        assert [split_map.project(m) for m, _ in red.distribution.support] == [0b011, 0b101, 0b110]
