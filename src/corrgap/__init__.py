@@ -1,6 +1,6 @@
 """Desk-scale laboratory for correlation-robust expectations of set functions:
 exact worst-case scenario LPs with dual certificates, correlation gaps against
-the independent distribution, cost-sharing certification, split reductions,
+the independent distribution, cost-sharing certification, element splitting,
 and welfare-maximisation consequences, all on exactly solvable instances."""
 
 from .core import (
@@ -43,7 +43,6 @@ from .robust import (
 from .split import (
     ProjectedFunction,
     SplitMap,
-    reduce_to_partition,
     split_instance,
     verify_split_properties,
 )

@@ -115,20 +115,24 @@ def _load_json_file(path: str) -> dict:
 def _load_source(args) -> object:
     if bool(args.instance) == bool(args.builtin):
         raise ValidationError("exactly one of --instance or --builtin is required")
+    params = {}
     if args.builtin:
-        builtin = REGISTRY.get(args.builtin)
-        overrides = {}
-        for key in ("n", "k", "seed"):
-            value = getattr(args, key, None)
-            if value is None:
-                continue
-            if builtin is not None and key not in builtin.defaults:
-                if key == "seed":
-                    continue  # --seed then belongs to Monte Carlo, not the builtin
-                if key == "k" and args.command == "welfare":
-                    continue  # --k then is the player count
-            overrides[key] = value
-        return build_builtin(args.builtin, **overrides)
+        if args.builtin not in REGISTRY:
+            raise ValidationError(f"unknown builtin {args.builtin!r}; see list-instances")
+        params = REGISTRY[args.builtin].defaults
+    for key in ("n", "k", "seed"):
+        if getattr(args, key, None) is None or key in params:
+            continue
+        if key == "k" and args.command == "welfare":
+            continue  # --k is the player count
+        if key == "seed" and args.command == "gap" and args.samples is not None:
+            continue  # --seed is the Monte Carlo seed
+        source = f"builtin {args.builtin!r}" if args.builtin else "an --instance file"
+        raise ValidationError(
+            f"{source} does not take parameter {key!r}, and {args.command} does not read --{key}"
+        )
+    if args.builtin:
+        return build_builtin(args.builtin, **{key: getattr(args, key, None) for key in params})
     data = _load_json_file(args.instance)
     if not isinstance(data, dict):
         raise ValidationError("instance JSON must be an object")

@@ -70,14 +70,6 @@ class ScenarioDistribution:
     def to_json(self) -> dict:
         return {"support": [{"mask": mask, "p": prob} for mask, prob in self.support]}
 
-    @classmethod
-    def from_json(cls, data: dict, n: int) -> "ScenarioDistribution":
-        try:
-            pairs = [(entry["mask"], entry["p"]) for entry in data["support"]]
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"distribution JSON missing field: {exc}") from None
-        return cls(n, pairs)
-
 
 _DOT_BLOCK = 1 << 13
 

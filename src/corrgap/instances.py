@@ -81,13 +81,13 @@ def max_binomial_expectation(k: int) -> float:
     return total
 
 
-def coverage_two_stage_space(k: int = 3, epsilon: float = 0.1) -> DecisionSpace:
+def coverage_two_stage_space(k: int = 3) -> DecisionSpace:
     """Two-stage extension of the coverage partition family: decision m buys m
     disjoint transversals up front (covering the first m elements of every
     block) at a per-set price calibrated to the independent expectation."""
     base = coverage_partition_instance(k)
     n = k * k
-    price = (1.0 + epsilon) * max_binomial_expectation(k) / k
+    price = 1.1 * max_binomial_expectation(k) / k
     masks = np.arange(1 << n, dtype=np.uint64)
     decisions = []
     for m in range(k + 1):
@@ -283,14 +283,6 @@ class Builtin:
     kind: str  # "instance" | "space" | "welfare"
     build: Callable[..., object]
     defaults: dict
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "kind": self.kind,
-            "defaults": self.defaults,
-        }
 
 
 REGISTRY: dict[str, Builtin] = {

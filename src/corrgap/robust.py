@@ -60,10 +60,12 @@ class DecisionSpace:
     @classmethod
     def from_json(cls, data: dict) -> "DecisionSpace":
         try:
-            decisions = [
-                Decision(str(entry["label"]), function_from_json(entry["function"]))
-                for entry in data["decisions"]
-            ]
+            decisions = []
+            for entry in data["decisions"]:
+                label = entry["label"]
+                if not isinstance(label, str):
+                    raise ValidationError(f"decision label must be a string, got {label!r}")
+                decisions.append(Decision(label, function_from_json(entry["function"])))
             return cls(data["marginals"], decisions)
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"decision-space JSON missing field: {exc}") from None

@@ -1,8 +1,7 @@
 """Splitting elements into copies: projected cost functions f'(S') = f(Pi(S')),
-marginals p_i / n_i per copy, exact verification that splitting preserves
+marginals p_i / n_i per copy, and exact verification that splitting preserves
 monotonicity and the worst-case value while never increasing the independent
-expectation, and the reduction of a worst-case distribution to disjoint
-(partition-type) support.
+expectation.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from .core import (
     SetFunction,
     SizeCapError,
     ValidationError,
-    elements_of,
     is_monotone,
 )
-from .distributions import ScenarioDistribution
 from .gap import correlation_gap
 from .worst_case import CERT_TOL, unit_scale
 
@@ -44,6 +41,8 @@ class SplitMap:
         counts = tuple(int(c) for c in counts)
         if not counts or any(c < 1 for c in counts):
             raise ValidationError("every element needs at least one copy")
+        if sum(counts) > MAX_GROUND:
+            raise SizeCapError(f"split ground set {sum(counts)} exceeds {MAX_GROUND}")
         original_of = tuple(i for i, c in enumerate(counts) for _ in range(c))
         if labels is None:
             labels = tuple(k + 1 for c in counts for k in range(c))
@@ -51,8 +50,6 @@ class SplitMap:
             labels = tuple(int(v) for v in labels)
             if len(labels) != len(original_of):
                 raise ValidationError("one label per copy required")
-        if len(original_of) > MAX_GROUND:
-            raise SizeCapError(f"split ground set {len(original_of)} exceeds {MAX_GROUND}")
         return cls(counts, original_of, labels)
 
     @property
@@ -72,17 +69,6 @@ class SplitMap:
             if mask >> j & 1:
                 out |= 1 << orig
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "original_of": list(self.original_of),
-            "labels": list(self.labels),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SplitMap":
-        return cls.build(data["counts"], data.get("labels"))
 
 
 class ProjectedFunction(SetFunction):
@@ -194,65 +180,3 @@ def verify_split_properties(inst: Instance, counts: Sequence[int]) -> SplitPrope
         kappa_non_decreasing=kappa_non_decreasing,
     )
 
-
-@dataclass(frozen=True)
-class PartitionStep:
-    element: int
-    copies: int
-
-
-@dataclass(frozen=True)
-class PartitionReduction:
-    instance: Instance
-    distribution: ScenarioDistribution
-    steps: tuple[PartitionStep, ...]
-    expectation_before: float
-    expectation_after: float
-    is_partition: bool
-
-    def to_json(self) -> dict:
-        return {
-            "steps": [{"element": s.element, "copies": s.copies} for s in self.steps],
-            "expectation_before": self.expectation_before,
-            "expectation_after": self.expectation_after,
-            "is_partition": self.is_partition,
-            "distribution": self.distribution.to_json(),
-        }
-
-
-def reduce_to_partition(inst: Instance, dist: ScenarioDistribution) -> PartitionReduction:
-    """Split in one step every element shared by several support sets: i
-    gets one copy per support set holding it (at least one), and the r-th
-    holder of i, in support order, takes i's r-th copy. The nonempty support
-    sets become pairwise disjoint, each copy's marginal is one support
-    probability, and f'(S') = f(Pi(S')) leaves every scenario's cost, so the
-    expected function value, untouched.
-
-    This is inspectable proof machinery, not an optimisation step.
-    """
-    support = dist.support
-    counts = [max(1, sum(mask >> i & 1 for mask, _ in support)) for i in range(inst.n)]
-    split_map = SplitMap.build(counts)
-    next_copy = [split_map.original_of.index(i) for i in range(inst.n)]  # i's next free copy
-    new_support = []
-    for mask, prob in support:
-        new_mask = 0
-        for i in elements_of(mask):
-            new_mask |= 1 << next_copy[i]
-            next_copy[i] += 1
-        new_support.append((new_mask, prob))
-
-    final_dist = ScenarioDistribution(split_map.n_new, new_support)
-    function = ProjectedFunction(inst.function, split_map)
-    nonempty = [mask for mask, _ in final_dist.support if mask]
-    disjoint = all(
-        not (a & b) for idx, a in enumerate(nonempty) for b in nonempty[idx + 1 :]
-    )
-    return PartitionReduction(
-        instance=Instance(function, final_dist.marginals().tolist()),
-        distribution=final_dist,
-        steps=tuple(PartitionStep(i, c) for i, c in enumerate(counts) if c > 1),
-        expectation_before=dist.expectation(inst.function),
-        expectation_after=final_dist.expectation(function),
-        is_partition=disjoint,
-    )

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,14 @@ class TestOtherCommands:
     def test_split_verify_bad_counts(self, capsys):
         code, _, _ = run_cli(capsys, "split-verify", "--builtin", "example3", "--n", "2", "--counts", "x,y")
         assert code == 2
+
+    def test_split_verify_huge_counts_hit_the_cap_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "split-verify", "--builtin", "example3", "--n", "2", "--counts", "1000000000000,1"
+        )
+        assert code == 3 and out == "" and err.startswith("size cap: split ground set")
+        assert time.perf_counter() - start < 1.0
 
     def test_certify_scheme(self, capsys):
         data = run_json(capsys, "certify-scheme", "--builtin", "example3", "--n", "3")
@@ -552,6 +561,52 @@ class TestWelfarePlayersField:
     def test_positive_integer_players_sets_marginals(self, capsys, tmp_path):
         data = run_json(capsys, "gap", "--instance", self.write_case(tmp_path, 2))
         assert data["independent_value"] == pytest.approx(0.75, abs=1e-12)
+
+
+class TestDecisionLabels:
+    @pytest.mark.parametrize("label", [None, 3, [1], {"a": 1}], ids=repr)
+    def test_label_not_a_string_exits_2(self, capsys, tmp_path, label):
+        path = tmp_path / "space.json"
+        path.write_text(
+            json.dumps({"marginals": [0.5, 0.5], "decisions": [{"label": label, "function": ZERO_TABLE}]})
+        )
+        code, out, err = run_cli(capsys, "robust", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: decision label must be a string") and err.count("\n") == 1
+
+
+class TestUnreadSourceFlags:
+    """--n, --k and --seed are read by the builtin's parameters, by welfare
+    (--k, the player count) or by gap --samples (--seed). Any other use of
+    them exits 2 instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["worst-case", "--instance", "FILE", "--n", "9"], "--n"),
+            (["gap", "--instance", "FILE", "--k", "3"], "--k"),
+            (["gap", "--instance", "FILE", "--seed", "3"], "--seed"),
+            (["welfare", "--instance", "FILE", "--k", "2", "--n", "5"], "--n"),
+            (["worst-case", "--builtin", "example3", "--seed", "5"], "--seed"),
+            (["robust", "--builtin", "example1", "--seed", "3"], "--seed"),
+            (["welfare", "--builtin", "integrality_gap", "--seed", "4"], "--seed"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_unread_flag_exits_2(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(instance_with(EXPLICIT)))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"does not read {flag}" in err
+
+    def test_seed_of_samples_is_read_with_an_instance_file(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(instance_with(EXPLICIT)))
+        data = run_json(capsys, "gap", "--instance", str(path), "--samples", "100", "--seed", "3")
+        assert data["independent_mc"]["seed"] == 3
 
 
 # Every check takes its scale from f, so the tolerance flags went.

@@ -1,18 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgap.core import Instance, SizeCapError, TableFunction, ValidationError
-from corrgap.distributions import ScenarioDistribution
 from corrgap.instances import random_monotone_instance, threshold_instance
-from corrgap.split import (
-    SplitMap,
-    reduce_to_partition,
-    split_instance,
-    verify_split_properties,
-)
-from corrgap.worst_case import worst_case_lp
+from corrgap.split import SplitMap, split_instance, verify_split_properties
 
 
 class TestSplitMap:
@@ -45,9 +40,15 @@ class TestSplitMap:
         with pytest.raises(SizeCapError):
             SplitMap.build([13, 13])
 
-    def test_json_round_trip(self):
-        m = SplitMap.build([2, 1], labels=[5, 4, 5])
-        assert SplitMap.from_json(m.to_json()) == m
+    def test_cap_checked_before_copies_are_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                SplitMap.build([10**6, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSplitInstance:
@@ -130,73 +131,3 @@ class TestSplitProperties:
         with pytest.raises(SizeCapError):
             verify_split_properties(inst, [2] * 8)
 
-
-class TestPartitionReduction:
-    def test_already_partition_is_untouched(self):
-        inst = threshold_instance(3)
-        dist = worst_case_lp(inst).distribution  # three disjoint singletons
-        red = reduce_to_partition(inst, dist)
-        assert red.steps == ()
-        assert red.is_partition
-        assert red.expectation_after == pytest.approx(red.expectation_before, abs=1e-9)
-
-    def test_overlapping_support_gets_split(self):
-        inst = random_monotone_instance(5, 3)
-        dist = ScenarioDistribution(3, [(0b110, 0.5), (0b011, 0.5)])
-        red = reduce_to_partition(inst, dist)
-        assert red.is_partition
-        assert [(s.element, s.copies) for s in red.steps] == [(1, 2)]
-        assert red.expectation_after == pytest.approx(red.expectation_before, abs=1e-12)
-        masks = [m for m, _ in red.distribution.support if m]
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                assert not a & b
-
-    def test_lp_nested_optimum_reduces_to_partition(self):
-        # supermodular instances make the LP return nested (heavily
-        # overlapping) support, the motivating case for the reduction
-        from corrgap.instances import random_supermodular_instance
-
-        inst = random_supermodular_instance(77, 4)
-        result = worst_case_lp(inst)
-        nonempty = [m for m, _ in result.distribution.support if m]
-        assert any(a & b for i, a in enumerate(nonempty) for b in nonempty[i + 1 :])
-        red = reduce_to_partition(inst, result.distribution)
-        assert red.is_partition
-        assert red.expectation_after == pytest.approx(result.value, abs=1e-9)
-
-    def test_multiply_shared_elements(self):
-        inst = random_monotone_instance(6, 3)
-        dist = ScenarioDistribution(
-            3, [(0b111, 0.25), (0b011, 0.25), (0b110, 0.25), (0, 0.25)]
-        )
-        red = reduce_to_partition(inst, dist)
-        assert red.is_partition
-        assert red.expectation_after == pytest.approx(red.expectation_before, abs=1e-12)
-        # marginals of the rewritten distribution define the reduced instance
-        assert np.allclose(
-            red.distribution.marginals(), np.array(red.instance.marginals), atol=1e-12
-        )
-
-    def test_element_in_every_support_set_keeps_marginals_in_range(self):
-        # splitting one element at a time took element 2's marginal as the
-        # rounded sum of all three probabilities, one ulp above 1
-        support = ((5, 0.22981132707637927), (13, 0.5991386976116708), (14, 0.1710499753119501))
-        probs = [prob for _, prob in support]
-        for seed in range(5):
-            inst = random_monotone_instance(seed, 4)
-            red = reduce_to_partition(inst, ScenarioDistribution(4, support))
-            assert red.is_partition
-            assert [(s.element, s.copies) for s in red.steps] == [(0, 2), (2, 3), (3, 2)]
-            assert red.instance.marginals == (*probs, *probs, *probs[1:])
-            assert red.expectation_after == red.expectation_before
-
-    def test_holders_take_copies_in_support_order(self):
-        inst = random_monotone_instance(6, 3)
-        dist = ScenarioDistribution(3, [(0b011, 0.5), (0b101, 0.25), (0b110, 0.25)])
-        red = reduce_to_partition(inst, dist)
-        # copies: 0 -> (0, 1), 1 -> (2, 3), 2 -> (4, 5); every element has two holders
-        assert [(s.element, s.copies) for s in red.steps] == [(0, 2), (1, 2), (2, 2)]
-        assert red.distribution.support == ((0b000101, 0.5), (0b010010, 0.25), (0b101000, 0.25))
-        split_map = red.instance.function.split_map
-        assert [split_map.project(m) for m, _ in red.distribution.support] == [0b011, 0b101, 0b110]
