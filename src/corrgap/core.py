@@ -2,7 +2,9 @@
 structure checks (monotone / submodular / supermodular / subadditive).
 
 Subsets of a ground set {0..n-1} are unsigned ints with bit i set iff element
-i is in the subset; explicit tables are indexed by that mask value.
+i is in the subset; explicit tables are indexed by that mask value. Every set
+function is a read-only table of its 2^n values, so n is capped at MAX_EXACT
+when the function is built.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_GROUND = 24        # oracle evaluation cap
-MAX_EXACT = 16         # full-enumeration engines work on at most 2^16 scenarios
+MAX_EXACT = 16         # every set function is a table of at most 2^16 values
 MAX_SUBADDITIVE = 12   # subadditivity scans all pairs of subsets
 MAX_FACILITIES = 12    # facility-location evaluation brute-forces open subsets
 CHECK_TOL = 1e-9       # relative to unit_scale(f)
@@ -117,19 +118,21 @@ def subset_sums(
 
 
 class SetFunction:
-    """Deterministic oracle f: 2^{0..n-1} -> R, addressed by bitmask.
+    """Deterministic oracle f: 2^{0..n-1} -> R, addressed by bitmask, for
+    1 <= n <= MAX_EXACT.
 
     A subclass defines one evaluator, `values_at`; `values` caches it over
-    every mask (n <= MAX_EXACT) for the enumeration and LP engines, and
-    `value` answers single masks for any n <= MAX_GROUND.
+    every mask, and every engine and `value` read that table.
     Instances are immutable after construction apart from the value cache.
     """
 
     kind = "abstract"
 
     def __init__(self, n: int):
-        if not 1 <= n <= MAX_GROUND:
-            raise ValidationError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
+        if n < 1:
+            raise ValidationError(f"ground set size must be >= 1, got {n}")
+        if n > MAX_EXACT:
+            raise SizeCapError(f"ground set size {n} exceeds cap {MAX_EXACT}")
         self.n = n
         self._table: np.ndarray | None = None
 
@@ -139,8 +142,6 @@ class SetFunction:
 
     def values(self) -> np.ndarray:
         """All 2^n values, indexed by mask. Cached, read-only."""
-        if self.n > MAX_EXACT:
-            raise SizeCapError(f"cannot enumerate 2^{self.n} scenarios (cap {MAX_EXACT})")
         if self._table is None:
             masks = np.arange(1 << self.n, dtype=np.uint64)
             table = np.asarray(self.values_at(masks), dtype=np.float64)
@@ -151,9 +152,7 @@ class SetFunction:
     def value(self, mask: int) -> float:
         if not 0 <= mask < 1 << self.n:
             raise ValidationError(f"mask {mask} out of range for n={self.n}")
-        if self.n <= MAX_EXACT:
-            return float(self.values()[mask])
-        return float(self.values_at(np.array([mask], dtype=np.uint64))[0])
+        return float(self.values()[mask])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -307,21 +306,17 @@ class FacilityLocationCost(SetFunction):
                 yield open_cost, self.distances[:, sorted(opened)].min(axis=1)
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
-        """Gathered from the whole 2^n cost table: the cached `values()` once
-        an exact engine has built it, else a fresh subset-sum doubling per
-        open set (O(2^m * 2^n) time in two 2^n buffers, paid by every call
-        above MAX_EXACT)."""
-        table = self._table
-        if table is None:
-            table = np.full(1 << self.n, np.inf)
-            sums = np.empty(1 << self.n)
-            halves = doubling_halves(sums, self.n)
-            for open_cost, nearest in self._open_sets():
-                subset_sums(nearest, sums, halves)
-                sums += open_cost
-                np.minimum(table, sums, out=table)
-            table[0] = 0.0  # serving nobody opens nothing
-            table += self.base_cost
+        """Gathered from the whole 2^n cost table, built by a subset-sum
+        doubling per open set: O(2^m * 2^n) time in two 2^n buffers."""
+        table = np.full(1 << self.n, np.inf)
+        sums = np.empty(1 << self.n)
+        halves = doubling_halves(sums, self.n)
+        for open_cost, nearest in self._open_sets():
+            subset_sums(nearest, sums, halves)
+            sums += open_cost
+            np.minimum(table, sums, out=table)
+        table[0] = 0.0  # serving nobody opens nothing
+        table += self.base_cost
         return table[masks]
 
     def to_json(self) -> dict:
@@ -386,17 +381,15 @@ def unit_scale(values: np.ndarray) -> float:
     return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
 
 
-def _checker_table(f: SetFunction, cap: int, tol: float) -> tuple[np.ndarray, float]:
+def _checker_table(f: SetFunction, tol: float) -> tuple[np.ndarray, float]:
     """f's table and tol in the units of f: tol * unit_scale(f)."""
-    if f.n > cap:
-        raise SizeCapError(f"exhaustive check needs n <= {cap}, got {f.n}")
     v = f.values()
     return v, tol * unit_scale(v)
 
 
 def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     """f(S) <= f(S + i) + tol * unit_scale(f) for every S and i not in S."""
-    v, tol = _checker_table(f, MAX_EXACT, tol)
+    v, tol = _checker_table(f, tol)
     masks = np.arange(1 << f.n)
     for i in range(f.n):
         bit = 1 << i
@@ -409,7 +402,7 @@ def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
 def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
     """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - tol * unit_scale(f)
     for i != j, S avoiding both; sign is +1 for submodular, -1 for supermodular."""
-    v, tol = _checker_table(f, MAX_EXACT, tol)
+    v, tol = _checker_table(f, tol)
     masks = np.arange(1 << f.n)
     for i in range(f.n):
         bi = 1 << i
@@ -434,7 +427,9 @@ def is_supermodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
 
 def is_subadditive(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     """f(S | T) <= f(S) + f(T) + tol * unit_scale(f) over all pairs of subsets."""
-    v, tol = _checker_table(f, MAX_SUBADDITIVE, tol)
+    if f.n > MAX_SUBADDITIVE:
+        raise SizeCapError(f"subadditivity check needs n <= {MAX_SUBADDITIVE}, got {f.n}")
+    v, tol = _checker_table(f, tol)
     masks = np.arange(1 << f.n)
     for s in range(1 << f.n):
         if np.any(v[masks | s] > v[s] + v[masks] + tol):
@@ -442,18 +437,23 @@ def is_subadditive(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     return True
 
 
+def as_marginals(marginals: Sequence[float], n: int) -> tuple[float, ...]:
+    """n marginal probabilities as floats, each in [0, 1] (NaN refused)."""
+    p = tuple(as_real(x, "marginal") for x in marginals)
+    if len(p) != n:
+        raise ValidationError(f"{len(p)} marginals for ground set of size {n}")
+    for x in p:
+        if not 0.0 <= x <= 1.0:
+            raise ValidationError(f"marginal {x} outside [0, 1]")
+    return p
+
+
 class Instance:
     """A set function together with per-element marginal probabilities."""
 
     def __init__(self, function: SetFunction, marginals: Sequence[float]):
-        p = tuple(as_real(x, "marginal") for x in marginals)
-        if len(p) != function.n:
-            raise ValidationError(f"{len(p)} marginals for ground set of size {function.n}")
-        for x in p:
-            if not 0.0 <= x <= 1.0:
-                raise ValidationError(f"marginal {x} outside [0, 1]")
         self.function = function
-        self.marginals = p
+        self.marginals = as_marginals(marginals, function.n)
 
     @property
     def n(self) -> int:

@@ -1,6 +1,7 @@
 """Finite scenario distributions over subsets, and expectations under the
-independent (product-Bernoulli) distribution -- exact by enumeration for
-n <= 16, Monte Carlo with a seeded counter RNG beyond that.
+independent (product-Bernoulli) distribution: exact by enumeration of f's
+2^n table, or Monte Carlo with a seeded counter RNG that gathers its samples
+from the same table.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_EXACT, SetFunction, SizeCapError, ValidationError, elements_of
+from .core import SetFunction, SizeCapError, ValidationError, elements_of
 from .rng import counter_uniforms
 
 NEG_PROB_EPS = 1e-12   # clamp floor for simplex output hygiene
@@ -63,8 +64,7 @@ class ScenarioDistribution:
     def expectation(self, f: SetFunction) -> float:
         if f.n != self.n:
             raise ValidationError("distribution and function ground sets differ")
-        masks = np.array([mask for mask, _ in self.support], dtype=np.uint64)
-        values = f.values_at(masks).tolist()
+        values = f.values()[[mask for mask, _ in self.support]].tolist()
         return float(sum(prob * v for (_, prob), v in zip(self.support, values)))
 
     def to_json(self) -> dict:
@@ -108,10 +108,8 @@ def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
 
 
 def independent_expectation_exact(f: SetFunction, p: Sequence[float]) -> float:
-    """E[f(S)] under independent inclusion, by full enumeration (n <= 16)."""
+    """E[f(S)] under independent inclusion, by full enumeration."""
     p = tuple(float(x) for x in p)
-    if f.n > MAX_EXACT:
-        raise SizeCapError(f"exact enumeration needs n <= {MAX_EXACT}, got {f.n}")
     return _dot(_product_weights(f.n, p), f.values())
 
 
@@ -152,6 +150,7 @@ def independent_expectation_mc(
     if samples > MAX_SAMPLES:
         raise SizeCapError(f"{samples} samples exceeds cap {MAX_SAMPLES}")
     n = f.n
+    table = f.values()
     bits = np.zeros((_MC_BLOCK, 64), dtype=bool)
     mask_buffer = np.empty(min(_MC_CHUNK, samples), dtype=np.uint64)
     total = 0.0
@@ -166,7 +165,7 @@ def independent_expectation_mc(
             np.less(u, p, out=bits[:size, :n])
             packed = np.packbits(bits[:size], axis=1, bitorder="little")
             masks[start : start + size] = packed.view("<u8")[:, 0]
-        vals = f.values_at(masks)
+        vals = table[masks]
         total += float(vals.sum())
         total_sq += _dot(vals, vals)
         done += chunk

@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_real, function_from_json
+from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_marginals
+from .core import function_from_json, unit_scale
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
-from .worst_case import CERT_TOL, unit_scale, worst_case_lp
+from .worst_case import CERT_TOL, worst_case_lp
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,7 @@ class DecisionSpace:
         for d in decisions:
             if d.function.n != n:
                 raise ValidationError("decisions disagree on the ground set size")
-        self.marginals = tuple(as_real(x, "marginal") for x in marginals)
-        if len(self.marginals) != n:
-            raise ValidationError(f"{len(self.marginals)} marginals for ground set of size {n}")
+        self.marginals = as_marginals(marginals, n)
         self.decisions = tuple(decisions)
         self.n = n
 

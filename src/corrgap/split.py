@@ -13,15 +13,18 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    MAX_GROUND,
+    MAX_EXACT,
     Instance,
     SetFunction,
     SizeCapError,
+    TableFunction,
     ValidationError,
+    as_int,
     is_monotone,
+    unit_scale,
 )
 from .gap import correlation_gap
-from .worst_case import CERT_TOL, unit_scale
+from .worst_case import CERT_TOL
 
 MAX_SPLIT_VERIFY = 14  # property verification runs the LP twice on 2^{n'} columns
 
@@ -38,16 +41,16 @@ class SplitMap:
 
     @classmethod
     def build(cls, counts: Sequence[int], labels: Sequence[int] | None = None) -> "SplitMap":
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(as_int(c, "copy count") for c in counts)
         if not counts or any(c < 1 for c in counts):
             raise ValidationError("every element needs at least one copy")
-        if sum(counts) > MAX_GROUND:
-            raise SizeCapError(f"split ground set {sum(counts)} exceeds {MAX_GROUND}")
+        if sum(counts) > MAX_EXACT:
+            raise SizeCapError(f"split ground set {sum(counts)} exceeds cap {MAX_EXACT}")
         original_of = tuple(i for i, c in enumerate(counts) for _ in range(c))
         if labels is None:
             labels = tuple(k + 1 for c in counts for k in range(c))
         else:
-            labels = tuple(int(v) for v in labels)
+            labels = tuple(as_int(v, "copy label") for v in labels)
             if len(labels) != len(original_of):
                 raise ValidationError("one label per copy required")
         return cls(counts, original_of, labels)
@@ -73,8 +76,8 @@ class SplitMap:
 
 class ProjectedFunction(SetFunction):
     """f'(S') = f(Pi(S')): the base oracle evaluated through the copy map.
-    `values_at` projects all its masks at once and asks the base's
-    `values_at` for them."""
+    `values_at` projects all its masks at once and gathers them from the
+    base's table."""
 
     kind = "projected"
 
@@ -93,12 +96,10 @@ class ProjectedFunction(SetFunction):
         return out
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
-        return self.base.values_at(self._projected_masks(masks))
+        return self.base.values()[self._projected_masks(masks)]
 
     def to_json(self) -> dict:
         # interchange as an explicit table; the projection itself is in-process
-        from .core import TableFunction
-
         return TableFunction(self.values().tolist()).to_json()
 
 

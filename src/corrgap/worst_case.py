@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import MAX_EXACT, Instance, SizeCapError, ValidationError, doubling_halves
+from .core import MAX_EXACT, Instance, ValidationError, doubling_halves
 from .core import subset_sums, unit_scale
 from .distributions import ScenarioDistribution
 
@@ -292,8 +292,6 @@ def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResul
     optimal dual of the scenario LP, solved on f / unit_scale(f). A subnormal
     f is refused: its values sit on a grid too coarse to certify."""
     n = inst.n
-    if n > MAX_EXACT:
-        raise SizeCapError(f"scenario LP needs n <= {MAX_EXACT}, got {n}")
     values = inst.function.values()
     if max_iter is None:
         max_iter = 50 * (1 << n)
@@ -319,9 +317,7 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
     f = inst.function
     order, chain, probs = prefix_chain(inst.marginals)
 
-    masks = np.array(chain, dtype=np.uint64)
-    gathered = f.values()[masks] if n <= MAX_EXACT else f.values_at(masks)
-    f_empty, *prefix_values = gathered.tolist()
+    f_empty, *prefix_values = f.values()[chain].tolist()
     value = probs[0] * f_empty
     for prob, v in zip(probs[1:], prefix_values):
         value += prob * v
@@ -341,9 +337,6 @@ def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CER
     primal-dual objective equality. The two probability checks are within
     tol; the expectation, dual and objective checks, in the units of f, are
     within tol * unit_scale(f). A subnormal f is refused, as by worst_case_lp."""
-    n = inst.n
-    if n > MAX_EXACT:
-        raise SizeCapError(f"certificate scan needs n <= {MAX_EXACT}, got {n}")
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
     values = inst.function.values()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgap.core import (
+    MAX_EXACT,
     CoverageMax,
     FacilityLocationCost,
     Instance,
@@ -250,36 +251,6 @@ class TestFacilityLocation:
             assert np.array_equal(f.values(), expected)
             assert np.array_equal([f.value(m) for m in range(1 << n)], expected)
 
-    @pytest.mark.parametrize("pre_open", [(), (1,)])
-    def test_above_exact_cap_matches_brute_force(self, pre_open):
-        # n = 17 is past MAX_EXACT: every call builds the table afresh
-        rng = np.random.default_rng(17)
-        f = FacilityLocationCost(rng.random(3) * 3, rng.random((17, 3)) * 5, pre_open, 0.5)
-        masks = [0, 1, 0b1010_1010_1010_1010_1, (1 << 17) - 1, 77777]
-        expected = [reference_facility_cost(f, m) for m in masks]
-        assert np.array_equal(f.values_at(np.array(masks, dtype=np.uint64)), expected)
-        assert np.array_equal([f.value(m) for m in masks], expected)
-        with pytest.raises(SizeCapError):
-            f.values()
-
-    def test_supermodular_closed_form_gathers_once_above_exact_cap(self, monkeypatch):
-        # f(empty) and the n prefix values come from one values_at call, not n + 1
-        from corrgap.core import Instance
-        from corrgap.worst_case import descending_order, prefix_masks, supermodular_worst_case
-
-        rng = np.random.default_rng(170)
-        f = FacilityLocationCost(rng.random(3) * 3, rng.random((17, 3)) * 5, (), 0.5)
-        p = tuple(rng.random(17))
-        calls = []
-        gather = f.values_at
-        monkeypatch.setattr(f, "values_at", lambda masks: calls.append(len(masks)) or gather(masks))
-        result = supermodular_worst_case(Instance(f, p))
-        assert calls == [18]
-        expected = [reference_facility_cost(f, m) for m in [0, *prefix_masks(descending_order(p))]]
-        assert result.dual_gamma == expected[0]
-        lam = dict(zip(descending_order(p), np.diff(expected).tolist()))
-        assert result.dual_lambda == tuple(lam[i] for i in range(17))
-
     def test_table_bit_identical_to_concat_doubling(self):
         from corrgap.instances import random_ufl_space
 
@@ -371,8 +342,9 @@ class TestValidation:
     def test_ground_set_bounds(self):
         with pytest.raises(ValidationError):
             SetFunction(0)
-        with pytest.raises(ValidationError):
-            SetFunction(25)
+        assert SetFunction(MAX_EXACT).n == MAX_EXACT
+        with pytest.raises(SizeCapError):
+            SetFunction(MAX_EXACT + 1)
 
     def test_bad_marginals(self):
         f = TableFunction([0.0, 1.0])
@@ -405,30 +377,26 @@ class TestValidation:
         assert source.flags.writeable and f.value(1) == 1.0
         assert not f.values().flags.writeable
 
-    def test_values_cap(self):
+    def test_size_cap_at_construction(self):
+        n = MAX_EXACT + 1
         with pytest.raises(SizeCapError):
-            CoverageMax(17, [list(range(17))]).values()
-
-    def test_table_above_exact_cap_still_evaluates(self):
-        table = np.arange(1 << 17, dtype=np.float64) / 8
-        f = TableFunction(table)
-        masks = np.array([0, 5, (1 << 17) - 1], dtype=np.uint64)
-        assert np.array_equal(f.values_at(masks), table[masks])
-        assert [f.value(int(m)) for m in masks] == table[masks].tolist()
+            CoverageMax(n, [list(range(n))])
         with pytest.raises(SizeCapError):
-            f.values()
+            TableFunction(np.zeros(1 << n))
+        with pytest.raises(SizeCapError):
+            FacilityLocationCost([1.0], [[1.0]] * n)
 
-    @pytest.mark.parametrize("n", [3, 17])
+    @pytest.mark.parametrize("n", [3, MAX_EXACT])
     def test_value_rejects_out_of_range_masks_for_every_kind(self, n):
         from corrgap.split import split_instance
 
-        base = TableFunction(np.zeros(1 << n))
+        base = Instance(TableFunction(np.zeros(1 << (n - 1))), [0.5] * (n - 1))
         functions = [
-            base,
+            TableFunction(np.zeros(1 << n)),
             CoverageMax(n, [list(range(n))]),
             TwoStageFlow(n, 1),
             FacilityLocationCost([1.0], [[1.0]] * n),
-            split_instance(Instance(base, [0.5] * n), [1] * (n - 1) + [2])[0].function,
+            split_instance(base, [1] * (n - 2) + [2])[0].function,
         ]
         for f in functions:
             for mask in (-1, 1 << f.n):

@@ -10,7 +10,15 @@ import pytest
 
 import corrgap
 import corrgap.distributions as distributions
-from corrgap.core import CoverageMax, SizeCapError, TableFunction, TwoStageFlow, ValidationError
+from corrgap.core import (
+    MAX_EXACT,
+    CoverageMax,
+    SetFunction,
+    SizeCapError,
+    TableFunction,
+    TwoStageFlow,
+    ValidationError,
+)
 from corrgap.distributions import (
     _DOT_BLOCK,
     _MC_CHUNK,
@@ -200,17 +208,16 @@ class TestMonteCarlo:
         assert abs(mc.estimate - exact) <= 4 * mc.stderr + 1e-12
 
     def test_large_ground_set_cardinality(self):
-        # E|S| = n/2 by linearity; n = 20 is beyond the exact engines
-        n = 20
+        # E|S| = n/2 by linearity, at the largest n a set function may have
+        n = MAX_EXACT
         f = _Cardinality(n)
         mc = independent_expectation_mc(f, [0.5] * n, 100_000, seed=123)
         assert abs(mc.estimate - n / 2) <= 4 * mc.stderr
 
     def test_large_ground_set_two_stage_flow(self):
         # E[(|S| - x)^+] has an exact binomial closed form to test against
-        import math
-
-        n, x = 20, 17
+        n = MAX_EXACT
+        x = n - 3
         f = TwoStageFlow(n, x)
         exact = f.build_cost + f.penalty * sum(
             (k - x) * math.comb(n, k) / 2**n for k in range(x + 1, n + 1)
@@ -219,14 +226,15 @@ class TestMonteCarlo:
         assert abs(mc.estimate - exact) <= 4 * mc.stderr + 1e-9
 
     def test_vectorised_large_n_paths_match_single_evaluation(self):
-        n = 20
-        low = (1 << 10) - 1
+        n = MAX_EXACT
+        half = n // 2
+        low = (1 << half) - 1
         cases = [
-            (CoverageMax(n, [list(range(10)), list(range(10, 20))]),
-             lambda m: max((m & low).bit_count(), (m >> 10).bit_count())),
+            (CoverageMax(n, [list(range(half)), list(range(half, n))]),
+             lambda m: max((m & low).bit_count(), (m >> half).bit_count())),
             (TwoStageFlow(n, 5), lambda m: 5 + 2**n * max(m.bit_count() - 5, 0)),
         ]
-        masks = [0, 1, (1 << n) - 1, 0b1010101010_1010101010, 123456, 999999]
+        masks = [0, 1, (1 << n) - 1, int("10" * half, 2), 12345, 54321]
         for f, reference in cases:
             expected = [reference(m) for m in masks]
             assert np.array_equal(f.values_at(np.array(masks)), expected)
@@ -247,14 +255,11 @@ class TestMonteCarlo:
         with pytest.raises(_FirstDraw):
             independent_expectation_mc(threshold(2), [0.5, 0.5], MAX_SAMPLES, seed=1)
 
-    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17])
+    @pytest.mark.parametrize("n", [1, 8, 9, 16])
     @pytest.mark.parametrize("samples", [1, 2**11 - 1, 2**11 + 1, 2**15 + 1])
     def test_blocks_bit_identical_to_one_draw_per_chunk(self, n, samples):
         rng = np.random.default_rng(n)
-        if n <= 16:
-            f = TableFunction(rng.normal(size=1 << n))
-        else:
-            f = CoverageMax(n, [list(range(0, n, 2)), list(range(1, n, 2))])
+        f = TableFunction(rng.normal(size=1 << n))
         p = rng.random(n)
         mc = independent_expectation_mc(f, p, samples, seed=99)
         assert (mc.estimate, mc.stderr) == one_draw_per_chunk(f, p, samples, 99)
@@ -345,11 +350,8 @@ def test_independent_leg_ignores_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-class _Cardinality:
-    """Minimal large-n oracle used only by the Monte Carlo tests."""
-
-    def __init__(self, n):
-        self.n = n
+class _Cardinality(SetFunction):
+    """f(S) = |S|, defined by its evaluator alone, as a user subclass would be."""
 
     def values_at(self, masks):
         return np.bitwise_count(masks.astype(np.uint64)).astype(np.float64)

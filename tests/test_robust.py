@@ -99,6 +99,15 @@ class TestDecisionSpace:
                 ],
             )
 
+    @pytest.mark.parametrize("marginals", [[1.5, 0.5], [float("nan"), 0.5], [0.5, -0.25]])
+    def test_bad_marginals_refused_before_any_expectation(self, monkeypatch, marginals):
+        calls = []
+        monkeypatch.setattr(robust, "independent_expectation_exact", lambda *a: calls.append(a))
+        decisions = [Decision("a", TableFunction([0.0, 1.0, 1.0, 2.0]))]
+        with pytest.raises(ValidationError, match="outside"):
+            approximation_ratio(DecisionSpace(marginals, decisions))
+        assert calls == []
+
     def test_subnormal_decision_refused(self):
         s = 1e-310
         f = TableFunction([0.0, s, s, 3 * s])

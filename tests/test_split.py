@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrgap.core import Instance, SizeCapError, TableFunction, ValidationError
+from corrgap.core import MAX_EXACT, Instance, SizeCapError, TableFunction, ValidationError
 from corrgap.instances import random_monotone_instance, threshold_instance
 from corrgap.split import SplitMap, split_instance, verify_split_properties
 
@@ -37,8 +37,19 @@ class TestSplitMap:
     def test_counts_validated(self):
         with pytest.raises(ValidationError):
             SplitMap.build([2, 0])
+        assert SplitMap.build([MAX_EXACT - 1, 1]).n_new == MAX_EXACT
         with pytest.raises(SizeCapError):
-            SplitMap.build([13, 13])
+            SplitMap.build([MAX_EXACT, 1])
+
+    @pytest.mark.parametrize("counts", [[2.9, 1], [2, True], [2, "1"]])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValidationError, match="copy count"):
+            SplitMap.build(counts)
+
+    @pytest.mark.parametrize("labels", [[1.7, 3], [1, "3"], [1, False]])
+    def test_labels_must_be_integers(self, labels):
+        with pytest.raises(ValidationError, match="copy label"):
+            SplitMap.build([2], labels)
 
     def test_cap_checked_before_copies_are_built(self):
         tracemalloc.start()

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 import corrgap.worst_case as wc
 from corrgap.cli import main
 from corrgap.core import (
+    MAX_EXACT,
     Instance,
     SizeCapError,
     TableFunction,
@@ -157,11 +158,22 @@ class TestWorstCaseLP:
         assert peak < 4 * 2**20
 
     def test_size_cap(self):
+        # the LP's only size check is the set function's own, at construction
         from corrgap.core import CoverageMax
 
-        inst = Instance(CoverageMax(17, [list(range(17))]), [0.5] * 17)
+        n = MAX_EXACT + 1
         with pytest.raises(SizeCapError):
-            worst_case_lp(inst)
+            worst_case_lp(Instance(CoverageMax(n, [list(range(n))]), [0.5] * n))
+
+    def test_solves_at_the_size_cap(self):
+        # the entering column is built from two bytes of its mask: a cap
+        # raised past 16 without widening it fails here
+        n = MAX_EXACT
+        rng = np.random.default_rng(n)
+        inst = Instance(TableFunction(rng.random(1 << n)), rng.random(n))
+        result = worst_case_lp(inst)
+        assert result.stats.pivots > 0
+        assert verify_certificate(inst, result)
 
     def test_result_json_shape(self):
         data = worst_case_lp(threshold_instance(2)).to_json()
