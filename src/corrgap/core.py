@@ -117,6 +117,16 @@ def subset_sums(
     return out
 
 
+def check_ground_size(n: int, what: str = "ground set size") -> None:
+    """The one ground-set size rule: 1 <= n <= MAX_EXACT. A builder whose
+    work before constructing its function grows with n checks it first;
+    `what` names the ground set in the message."""
+    if n < 1:
+        raise ValidationError(f"{what} must be >= 1, got {n}")
+    if n > MAX_EXACT:
+        raise SizeCapError(f"{what} {n} exceeds cap {MAX_EXACT}")
+
+
 class SetFunction:
     """Deterministic oracle f: 2^{0..n-1} -> R, addressed by bitmask, for
     1 <= n <= MAX_EXACT.
@@ -129,10 +139,7 @@ class SetFunction:
     kind = "abstract"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValidationError(f"ground set size must be >= 1, got {n}")
-        if n > MAX_EXACT:
-            raise SizeCapError(f"ground set size {n} exceeds cap {MAX_EXACT}")
+        check_ground_size(n)
         self.n = n
         self._table: np.ndarray | None = None
 

@@ -21,6 +21,7 @@ from .core import (
     TwoStageFlow,
     ValidationError,
     block_max_counts,
+    check_ground_size,
     elements_of,
     is_monotone,
     is_submodular,
@@ -46,8 +47,8 @@ def two_stage_flow_space(n: int = 4) -> DecisionSpace:
     """Capacity decisions x = 0..n against n coin-flip unit demands; unmet
     demand is repaired at 2^n per unit, so ignoring correlations is punished
     exponentially. Every induced cost function is supermodular."""
-    if not 2 <= n <= 12:
-        raise ValidationError("two-stage flow family is built for 2 <= n <= 12")
+    if n < 2:
+        raise ValidationError(f"two-stage flow family needs n >= 2, got {n}")
     decisions = [Decision(str(x), TwoStageFlow(n, x)) for x in range(n + 1)]
     return DecisionSpace([0.5] * n, decisions)
 
@@ -56,9 +57,10 @@ def coverage_partition_instance(k: int = 3) -> Instance:
     """n = k^2 elements in k blocks of k, marginals 1/k, cost = the largest
     per-block hit count. Worst case concentrates on whole blocks (value k);
     independently the blocks are iid Binomial(k, 1/k) draws."""
-    if not 2 <= k <= 4:
-        raise ValidationError("coverage partition family is built for 2 <= k <= 4")
+    if k < 2:
+        raise ValidationError(f"coverage partition family needs k >= 2, got {k}")
     n = k * k
+    check_ground_size(n)
     blocks = [list(range(i * k, (i + 1) * k)) for i in range(k)]
     return Instance(CoverageMax(n, blocks), [1.0 / k] * n)
 
@@ -101,8 +103,7 @@ def coverage_two_stage_space(k: int = 3) -> DecisionSpace:
 
 def threshold_instance(n: int = 3) -> Instance:
     """f(S) = 1 for nonempty S, marginals 1/n: the gap tends to e/(e-1)."""
-    if not 1 <= n <= 16:
-        raise ValidationError("threshold family is built for 1 <= n <= 16")
+    check_ground_size(n)
     table = np.ones(1 << n)
     table[0] = 0.0
     return Instance(TableFunction(table), [1.0 / n] * n)
@@ -184,8 +185,7 @@ def random_coverage_function(seed: int, n: int) -> TableFunction:
     """Weighted coverage function from a random bipartite incidence: item i
     covers a random set of weighted universe points, every item covering at
     least one. Monotone and submodular by construction."""
-    if not 1 <= n <= 10:
-        raise ValidationError("coverage generator is built for n <= 10")
+    check_ground_size(n)
     rng = SplitMix64(seed)
     universe = n + rng.randrange(n + 1)
     weights = [rng.uniform(0.5, 2.0) for _ in range(universe)]
@@ -217,8 +217,7 @@ def random_coverage_instance(seed: int, n: int) -> Instance:
 def random_supermodular_instance(seed: int, n: int) -> Instance:
     """f(S) = g(|S|) + modular part with g convex nondecreasing (sorted random
     increments), plus random marginals."""
-    if not 1 <= n <= 10:
-        raise ValidationError("supermodular generator is built for n <= 10")
+    check_ground_size(n)
     rng = SplitMix64(seed)
     increments = sorted(rng.uniform(0.0, 3.0) for _ in range(n))
     g = [0.0]
@@ -235,8 +234,7 @@ def random_supermodular_instance(seed: int, n: int) -> Instance:
 def random_monotone_instance(seed: int, n: int) -> Instance:
     """Arbitrary random monotone function: each set's value is the max of its
     facets plus a fresh nonnegative increment. Random marginals."""
-    if not 1 <= n <= 10:
-        raise ValidationError("monotone generator is built for n <= 10")
+    check_ground_size(n)
     rng = SplitMix64(seed)
     table = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -250,8 +248,7 @@ def random_ufl_space(seed: int, n_clients: int = 6, n_facilities: int = 3) -> De
     """Two-stage facility location from random planar points: stage-one builds
     are cheap, stage-two repairs expensive; decisions are the stage-one open
     sets. Deterministic in the seed."""
-    if n_clients > 12:
-        raise ValidationError("ufl generator caps clients at 12")
+    check_ground_size(n_clients)
     if n_facilities > 8:
         raise ValidationError("ufl generator caps facilities at 8 (2^8 decisions)")
     rng = SplitMix64(seed)

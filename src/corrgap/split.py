@@ -13,20 +13,17 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    MAX_EXACT,
     Instance,
     SetFunction,
-    SizeCapError,
     TableFunction,
     ValidationError,
     as_int,
+    check_ground_size,
     is_monotone,
     unit_scale,
 )
 from .gap import correlation_gap
 from .worst_case import CERT_TOL
-
-MAX_SPLIT_VERIFY = 14  # property verification runs the LP twice on 2^{n'} columns
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,7 @@ class SplitMap:
         counts = tuple(as_int(c, "copy count") for c in counts)
         if not counts or any(c < 1 for c in counts):
             raise ValidationError("every element needs at least one copy")
-        if sum(counts) > MAX_EXACT:
-            raise SizeCapError(f"split ground set {sum(counts)} exceeds cap {MAX_EXACT}")
+        check_ground_size(sum(counts), "split ground set")
         original_of = tuple(i for i, c in enumerate(counts) for _ in range(c))
         if labels is None:
             labels = tuple(k + 1 for c in counts for k in range(c))
@@ -155,11 +151,6 @@ def verify_split_properties(inst: Instance, counts: Sequence[int]) -> SplitPrope
     if not is_monotone(inst.function):
         raise ValidationError("split property verification expects a monotone function")
     new_inst, _ = split_instance(inst, counts)
-    if new_inst.n > MAX_SPLIT_VERIFY:
-        raise SizeCapError(
-            f"verification solves the LP on 2^{new_inst.n} columns; cap is {MAX_SPLIT_VERIFY}"
-        )
-
     monotone_preserved = is_monotone(new_inst.function)
     before = correlation_gap(inst)
     after = correlation_gap(new_inst)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from corrgap import instances
 from corrgap.cli import _build_parser, _load_source, main
+from corrgap.core import MAX_EXACT
 from corrgap.distributions import MAX_SAMPLES
 
 
@@ -282,6 +284,72 @@ class TestOtherCommands:
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run_cli(capsys)
         assert code == 2 and "usage" in out
+
+
+class TestOneSizeRule:
+    """Every source of a ground set, builtin parameter, file or split counts,
+    answers a size above MAX_EXACT with exit 3, one `size cap:` line and
+    nothing on stdout. Only a family's own lower bound exits 2."""
+
+    K_OVER = math.isqrt(MAX_EXACT) + 1  # the least k with k^2 > MAX_EXACT
+
+    # (command, builtin, size flag, first size over the cap, largest size below the family's range)
+    BUILTIN_SIZES = [
+        ("robust", "example1", "--n", MAX_EXACT + 1, 1),
+        ("gap", "example3", "--n", MAX_EXACT + 1, 0),
+        ("gap", "coverage_random", "--n", MAX_EXACT + 1, 0),
+        ("gap", "example2", "--k", K_OVER, 1),
+        ("robust", "example2_two_stage", "--k", K_OVER, 1),
+    ]
+
+    @pytest.mark.parametrize("command, builtin, flag, over, below", BUILTIN_SIZES)
+    def test_builtin_one_past_the_cap_exits_3(self, capsys, command, builtin, flag, over, below):
+        code, out, err = run_cli(capsys, command, "--builtin", builtin, flag, str(over))
+        assert code == 3 and out == "" and err.startswith("size cap:")
+
+    @pytest.mark.parametrize("command, builtin, flag, over, below", BUILTIN_SIZES)
+    def test_builtin_huge_size_exits_3_at_once(self, capsys, command, builtin, flag, over, below):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--builtin", builtin, flag, str(10**9))
+        assert code == 3 and out == "" and err.startswith("size cap:")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command, builtin, flag, over, below", BUILTIN_SIZES)
+    def test_builtin_below_its_range_exits_2(self, capsys, command, builtin, flag, over, below):
+        code, out, err = run_cli(capsys, command, "--builtin", builtin, flag, str(below))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @staticmethod
+    def oversize_function():
+        n = MAX_EXACT + 1
+        return {"type": "coverage_max", "n": n, "partition": [list(range(n))]}
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("gap", lambda f: {"function": f, "marginals": [0.5] * (MAX_EXACT + 1)}),
+            ("robust", lambda f: {"marginals": [0.5] * (MAX_EXACT + 1), "decisions": [{"label": "a", "function": f}]}),
+            ("welfare", lambda f: {"function": f, "players": 2}),
+        ],
+        ids=["instance", "decision_space", "welfare"],
+    )
+    def test_file_one_past_the_cap_exits_3(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload(self.oversize_function())))
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert code == 3 and out == "" and err.startswith("size cap:")
+
+    def test_split_counts_at_the_cap_pass(self, capsys):
+        data = run_json(capsys, "split-verify", "--builtin", "example3", "--n", "3", "--counts", "5,5,6")
+        assert data["all_passed"] is True
+        # P(no copy drawn) = (1 - 1/15)^10 (1 - 1/18)^6
+        assert data["indep_after"] == pytest.approx(1 - (14 / 15) ** 10 * (17 / 18) ** 6, rel=1e-12)
+
+    def test_split_counts_one_past_the_cap_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "split-verify", "--builtin", "example3", "--n", "3", "--counts", "5,6,6"
+        )
+        assert code == 3 and out == "" and err.startswith("size cap:")
 
 
 class TestOutputHandling:

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from corrgap.core import SizeCapError, ValidationError, is_monotone, is_submodular, is_supermodular
+from corrgap.core import (
+    MAX_EXACT,
+    SizeCapError,
+    ValidationError,
+    is_monotone,
+    is_submodular,
+    is_supermodular,
+)
 from corrgap.distributions import independent_expectation_exact
 from corrgap.gap import correlation_gap
 from corrgap.instances import (
@@ -94,6 +101,14 @@ class TestOracles:
         # max of two iid Binomial(2, 1/2): P(0)=1/16, P(1)=8/16, P(2)=7/16
         assert max_binomial_expectation(2) == pytest.approx(22 / 16, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_max_binomial_matches_tail_identity(self, k):
+        # E[max] = sum_{t=1..k} P(max >= t) = sum_{t=1..k} (1 - F(t-1)^k)
+        pmf = [math.comb(k, z) * (1 / k) ** z * (1 - 1 / k) ** (k - z) for z in range(k + 1)]
+        cdf = np.cumsum(pmf)
+        tail = sum(1.0 - cdf[t - 1] ** k for t in range(1, k + 1))
+        assert max_binomial_expectation(k) == pytest.approx(tail, abs=1e-12)
+
     def test_max_binomial_matches_mask_enumeration(self):
         for k in (2, 3):
             inst = coverage_partition_instance(k)
@@ -157,10 +172,14 @@ class TestGenerators:
         assert random_coverage_instance(1, 6).to_json() != random_coverage_instance(2, 6).to_json()
 
     def test_size_guards(self):
-        with pytest.raises(ValidationError):
-            random_coverage_function(1, 11)
-        with pytest.raises(ValidationError):
-            random_ufl_space(1, n_clients=13)
+        for build in (
+            random_coverage_function,
+            random_supermodular_instance,
+            random_monotone_instance,
+            lambda seed, n: random_ufl_space(seed, n_clients=n),
+        ):
+            with pytest.raises(SizeCapError):
+                build(1, MAX_EXACT + 1)
 
 
 class TestUflSpace:

@@ -140,5 +140,5 @@ class TestSplitProperties:
     def test_verification_size_cap(self):
         inst = threshold_instance(8)
         with pytest.raises(SizeCapError):
-            verify_split_properties(inst, [2] * 8)
+            verify_split_properties(inst, [3] + [2] * 7)  # n' = MAX_EXACT + 1
 
