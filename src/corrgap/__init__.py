@@ -41,7 +41,6 @@ from .robust import (
     evaluate_g,
 )
 from .split import (
-    ProjectedFunction,
     SplitMap,
     split_instance,
     verify_split_properties,

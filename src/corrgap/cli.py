@@ -278,7 +278,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_FACT_FAILURES
 
 
-def _cmd_list_instances(args=None) -> int:
+def _cmd_list_instances() -> int:
     for name in sorted(REGISTRY):
         builtin = REGISTRY[name]
         params = ", ".join(f"{k}={v}" for k, v in builtin.defaults.items()) or "-"
@@ -294,7 +294,6 @@ _HANDLERS = {
     "split-verify": _cmd_split_verify,
     "certify-scheme": _cmd_certify_scheme,
     "verify": _cmd_verify,
-    "list-instances": _cmd_list_instances,
 }
 
 

@@ -40,8 +40,11 @@ def as_real(x, what: str) -> float:
 def as_real_array(values, what: str) -> np.ndarray:
     """values as a float64 array, refused unless numpy reads every entry as
     an int or a float (np.asarray(values, float) would parse "3"). A bool
-    among numbers still reads as 0 or 1."""
-    arr = np.asarray(values)
+    among numbers still reads as 0 or 1; ragged nesting is refused too."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{what} must be numbers") from None
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be numbers")
     return arr.astype(np.float64)
@@ -136,8 +139,6 @@ class SetFunction:
     Instances are immutable after construction apart from the value cache.
     """
 
-    kind = "abstract"
-
     def __init__(self, n: int):
         check_ground_size(n)
         self.n = n
@@ -168,13 +169,8 @@ class SetFunction:
 class TableFunction(SetFunction):
     """Explicit table of 2^n values indexed by mask."""
 
-    kind = "explicit"
-
     def __init__(self, table: Sequence[float] | np.ndarray):
-        try:
-            arr = np.array(table, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValidationError("explicit table entries must be numbers") from None
+        arr = as_real_array(table, "explicit table entries")
         size = len(arr) if arr.ndim == 1 else 0
         n = size.bit_length() - 1
         if n < 1 or size != 1 << n:
@@ -194,8 +190,6 @@ class TableFunction(SetFunction):
 
 class CoverageMax(SetFunction):
     """f(S) = max_k |S intersect A_k| over a partition A_1..A_K of the ground set."""
-
-    kind = "coverage_max"
 
     def __init__(self, n: int, partition: Sequence[Sequence[int]]):
         super().__init__(n)
@@ -232,8 +226,6 @@ class TwoStageFlow(SetFunction):
     c(n) = n + 2.
     """
 
-    kind = "two_stage_flow"
-
     def __init__(self, n: int, x: int):
         super().__init__(n)
         if not 0 <= x <= n:
@@ -262,8 +254,6 @@ class FacilityLocationCost(SetFunction):
     facility j. Evaluation brute-forces the not-yet-open facility subsets, so
     the facility count is capped at MAX_FACILITIES.
     """
-
-    kind = "facility_location"
 
     def __init__(
         self,
@@ -340,11 +330,11 @@ class FacilityLocationCost(SetFunction):
 
 def function_from_json(data: dict) -> SetFunction:
     try:
-        kind = data["type"]
+        type_name = data["type"]
     except (TypeError, KeyError):
         raise ValidationError("set-function JSON needs a 'type' field") from None
     try:
-        if kind == "explicit":
+        if type_name == "explicit":
             try:
                 # array("d") refuses strings and null while converting at the
                 # speed of np.array(..., float), which would parse "1.5".
@@ -357,13 +347,13 @@ def function_from_json(data: dict) -> SetFunction:
                     f"explicit table has {1 << f.n} values (n={f.n}) but declares n={data['n']!r}"
                 )
             return f
-        if kind == "coverage_max":
+        if type_name == "coverage_max":
             return CoverageMax(as_int(data["n"], "coverage_max n"), data["partition"])
-        if kind == "two_stage_flow":
+        if type_name == "two_stage_flow":
             return TwoStageFlow(
                 as_int(data["n"], "two_stage_flow n"), as_int(data["x"], "two_stage_flow x")
             )
-        if kind == "facility_location":
+        if type_name == "facility_location":
             return FacilityLocationCost(
                 data["open_costs"],
                 data["distances"],
@@ -375,8 +365,8 @@ def function_from_json(data: dict) -> SetFunction:
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {kind} set-function JSON: {exc}") from None
-    raise ValidationError(f"unknown set-function type {kind!r}")
+        raise ValidationError(f"malformed {type_name} set-function JSON: {exc}") from None
+    raise ValidationError(f"unknown set-function type {type_name!r}")
 
 
 def unit_scale(values: np.ndarray) -> float:

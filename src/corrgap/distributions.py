@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SetFunction, SizeCapError, ValidationError, elements_of
+from .core import SetFunction, SizeCapError, ValidationError, as_marginals, elements_of
 from .rng import counter_uniforms
 
 NEG_PROB_EPS = 1e-12   # clamp floor for simplex output hygiene
@@ -94,9 +94,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
     """Pr(S) = prod_{i in S} p_i * prod_{i not in S} (1 - p_i) for every mask,
     by the doubling of core.subset_sums with multiply; each product takes its
-    factors in ascending bit order."""
-    if len(p) != n:
-        raise ValidationError(f"{len(p)} marginals for ground set of size {n}")
+    factors in ascending bit order. p must be n marginals in [0, 1]."""
+    p = as_marginals(p, n)
     weights = np.empty(1 << n)
     weights[0] = 1.0
     k = 1
@@ -109,7 +108,6 @@ def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
 
 def independent_expectation_exact(f: SetFunction, p: Sequence[float]) -> float:
     """E[f(S)] under independent inclusion, by full enumeration."""
-    p = tuple(float(x) for x in p)
     return _dot(_product_weights(f.n, p), f.values())
 
 
@@ -142,9 +140,7 @@ def independent_expectation_mc(
     bits fill the low n columns of a 64-column bool block, which packbits
     turns into one little-endian uint64 mask per sample.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if len(p) != f.n:
-        raise ValidationError(f"{len(p)} marginals for ground set of size {f.n}")
+    p = np.array(as_marginals(p, f.n))
     if samples < 1:
         raise ValidationError("need at least one sample")
     if samples > MAX_SAMPLES:

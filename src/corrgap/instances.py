@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb, log
 from typing import Callable
 
@@ -150,9 +150,6 @@ def welfare_gap_case() -> WelfareCase:
 class PoissonMaxResult:
     expected_max: float
     growth_reference: float | None  # log M / log log M, when defined
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def poisson_max_expectation(m: int) -> PoissonMaxResult:

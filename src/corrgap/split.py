@@ -1,7 +1,9 @@
-"""Splitting elements into copies: projected cost functions f'(S') = f(Pi(S')),
-marginals p_i / n_i per copy, and exact verification that splitting preserves
-monotonicity and the worst-case value while never increasing the independent
-expectation.
+"""Splitting elements into copies: each element i becomes n_i copies at
+marginal p_i / n_i, and the split cost f'(S') = f(Pi(S')) is an explicit
+table gathered from f's table at the projection Pi of every mask, so every
+engine reads it as it reads any other table. Exact verification that
+splitting preserves monotonicity and the worst-case value while never
+increasing the independent expectation.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import numpy as np
 from .core import (
     CHECK_TOL,
     Instance,
-    SetFunction,
     TableFunction,
     ValidationError,
     as_int,
     check_ground_size,
+    doubling_halves,
     is_monotone,
     unit_scale,
 )
@@ -70,49 +72,23 @@ class SplitMap:
         return out
 
 
-class ProjectedFunction(SetFunction):
-    """f'(S') = f(Pi(S')): the base oracle evaluated through the copy map.
-    `values_at` projects all its masks at once and gathers them from the
-    base's table."""
-
-    kind = "projected"
-
-    def __init__(self, base: SetFunction, split_map: SplitMap):
-        if split_map.n != base.n:
-            raise ValidationError("split map does not match the base ground set")
-        super().__init__(split_map.n_new)
-        self.base = base
-        self.split_map = split_map
-
-    def _projected_masks(self, masks: np.ndarray) -> np.ndarray:
-        arr = masks.astype(np.int64)
-        out = np.zeros_like(arr)
-        for j, orig in enumerate(self.split_map.original_of):
-            out |= ((arr >> j) & 1) << orig
-        return out
-
-    def values_at(self, masks: np.ndarray) -> np.ndarray:
-        return self.base.values()[self._projected_masks(masks)]
-
-    def to_json(self) -> dict:
-        # interchange as an explicit table; the projection itself is in-process
-        return TableFunction(self.values().tolist()).to_json()
-
-
-def split_marginals(marginals: Sequence[float], split_map: SplitMap) -> tuple[float, ...]:
-    return tuple(marginals[o] / split_map.counts[o] for o in split_map.original_of)
-
-
 def split_instance(
     inst: Instance, counts: Sequence[int], labels: Sequence[int] | None = None
 ) -> tuple[Instance, SplitMap]:
     """New instance with each element i replaced by counts[i] copies at
-    marginal p_i / counts[i], cost evaluated through the projection."""
+    marginal p_i / counts[i], its cost the explicit table f'(S') = f(Pi(S')).
+    Pi of every mask is built by the doubling of core.subset_sums, with
+    bitwise or: Pi[2^j : 2^(j+1)] = Pi[:2^j] | 1 << original_of[j]; f's table
+    is then gathered at Pi once."""
     if len(counts) != inst.n:
         raise ValidationError(f"{len(counts)} counts for ground set of size {inst.n}")
     split_map = SplitMap.build(counts, labels)
-    function = ProjectedFunction(inst.function, split_map)
-    return Instance(function, split_marginals(inst.marginals, split_map)), split_map
+    proj = np.zeros(1 << split_map.n_new, dtype=np.int64)
+    for orig, (low, high) in zip(split_map.original_of, doubling_halves(proj, split_map.n_new)):
+        np.bitwise_or(low, 1 << orig, out=high)
+    function = TableFunction(inst.function.values()[proj])
+    marginals = [inst.marginals[o] / split_map.counts[o] for o in split_map.original_of]
+    return Instance(function, marginals), split_map
 
 
 @dataclass(frozen=True)

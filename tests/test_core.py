@@ -370,6 +370,25 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TwoStageFlow(4, 5)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ["1.5", "2"],  # np.array(..., float64) would parse these
+            [0.0, "1", 1.0, 2.0],
+            [None, 1.0],
+            [[0.0, 1.0], [2.0]],  # ragged
+            [0.0, [1.0, 2.0], 1.0, 2.0],
+            [False, True],  # no number among the bools
+        ],
+    )
+    def test_table_entries_must_be_numbers(self, table):
+        with pytest.raises(ValidationError, match="explicit table entries must be numbers"):
+            TableFunction(table)
+
+    def test_ragged_distances_refused(self):
+        with pytest.raises(ValidationError, match="distances must be numbers"):
+            FacilityLocationCost([1.0], [[1.0], [1.0, 2.0]])
+
     def test_table_from_array_is_a_private_copy(self):
         source = np.array([0.0, 1.0, 1.5, 2.0])
         f = TableFunction(source)

@@ -145,6 +145,35 @@ class TestIndependentExact:
             independent_expectation_exact(threshold(3), [0.5] * 4)
 
 
+BAD_MARGINALS = [
+    ([1.5, 0.5], "outside"),
+    ([-0.5, 0.5], "outside"),
+    ([math.nan, 0.5], "outside"),
+    (["0.5", 0.5], "must be a number"),
+    ([True, 0.5], "must be a number"),
+    ([0.5], "1 marginals for ground set of size 2"),
+]
+
+
+class TestIndependentMarginalsValidated:
+    @pytest.mark.parametrize("p, message", BAD_MARGINALS)
+    def test_exact(self, p, message):
+        with pytest.raises(ValidationError, match=message):
+            independent_expectation_exact(threshold(2), p)
+
+    @pytest.mark.parametrize("p, message", BAD_MARGINALS + [([1.5, -0.5], "outside")])
+    def test_monte_carlo(self, p, message):
+        with pytest.raises(ValidationError, match=message):
+            independent_expectation_mc(threshold(2), p, 100, seed=1)
+
+    def test_numpy_marginals_read_as_floats(self):
+        p = np.array([0.25, 0.5])
+        assert independent_expectation_exact(threshold(2), p) == 1 - 0.75 * 0.5
+        assert independent_expectation_mc(threshold(2), p, 100, seed=1) == (
+            independent_expectation_mc(threshold(2), [0.25, 0.5], 100, seed=1)
+        )
+
+
 class TestScenarioValidation:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValidationError):

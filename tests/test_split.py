@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrgap.core import MAX_EXACT, Instance, SizeCapError, TableFunction, ValidationError
+from corrgap.core import (
+    MAX_EXACT,
+    Instance,
+    SetFunction,
+    SizeCapError,
+    TableFunction,
+    ValidationError,
+)
 from corrgap.instances import random_monotone_instance, threshold_instance
 from corrgap.split import SplitMap, split_instance, verify_split_properties
 
@@ -84,13 +91,13 @@ class TestSplitInstance:
         with pytest.raises(ValidationError):
             split_instance(threshold_instance(2), [2])
 
-    def test_projected_function_json_is_explicit_table(self):
+    def test_split_function_json_is_explicit_table(self):
         inst = threshold_instance(2)
         new_inst, _ = split_instance(inst, [2, 1])
         data = new_inst.function.to_json()
         assert data["type"] == "explicit" and len(data["values"]) == 8
 
-    def test_lazy_and_materialised_projection_agree(self):
+    def test_value_and_table_agree_with_projection(self):
         inst = random_monotone_instance(31, 3)
         new_inst, m = split_instance(inst, [2, 3, 1])
         f = new_inst.function
@@ -98,6 +105,45 @@ class TestSplitInstance:
         expected = [base[m.project(mask)] for mask in range(1 << f.n)]
         assert np.array_equal(f.values(), expected)
         assert np.array_equal([f.value(mask) for mask in range(1 << f.n)], expected)
+
+
+def split_table_cases():
+    """(seed, counts): seeded random counts up to n' = MAX_EXACT, and the
+    identity split."""
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        counts = [1] * n
+        budget = int(rng.integers(n, MAX_EXACT + 1))
+        for i in rng.integers(0, n, budget - n):
+            counts[i] += 1
+        cases.append((seed, counts))
+    cases.append((12, [MAX_EXACT - 2, 1, 1]))
+    cases += [(20 + n, [1] * n) for n in (1, 4, MAX_EXACT)]
+    return cases
+
+
+class TestSplitTable:
+    @pytest.mark.parametrize("seed, counts", split_table_cases())
+    def test_equals_base_at_projection_bit_for_bit(self, seed, counts):
+        rng = np.random.default_rng(seed)
+        n = len(counts)
+        f = TableFunction(rng.standard_normal(1 << n) * 10.0 ** rng.integers(-5, 6, 1 << n))
+        new_inst, m = split_instance(Instance(f, [0.5] * n), counts)
+        expected = np.array([f.value(m.project(mask)) for mask in range(1 << m.n_new)])
+        assert new_inst.function.n == sum(counts)
+        assert new_inst.function.values().tobytes() == expected.tobytes()
+        assert isinstance(new_inst.function, TableFunction)
+
+    def test_non_finite_base_refused_at_split_time(self):
+        class WithNaN(SetFunction):
+            def values_at(self, masks):
+                return np.where(masks == 3, np.nan, 1.0)
+
+        inst = Instance(WithNaN(2), [0.5, 0.5])
+        with pytest.raises(ValidationError, match="finite"):
+            split_instance(inst, [2, 1])
 
 
 class TestSplitProperties:
