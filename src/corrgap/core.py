@@ -31,8 +31,8 @@ class SizeCapError(RuntimeError):
 
 def as_real(x, what: str) -> float:
     """x as a float. Strings and bools are refused, although float() reads
-    "1.5" and True as numbers."""
-    if isinstance(x, (str, bytes, bool, np.bool_)):
+    "1.5" and True as numbers. A float itself passes on one type test."""
+    if type(x) is not float and isinstance(x, (str, bytes, bool, np.bool_)):
         raise ValidationError(f"{what} must be a number, got {x!r}")
     return float(x)
 
@@ -52,8 +52,10 @@ def as_real_array(values, what: str) -> np.ndarray:
 
 def as_int(x, what: str) -> int:
     """x as an int. Floats, strings and bools are refused, although int()
-    truncates 2.9 and reads "4" and True."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+    truncates 2.9 and reads "4" and True. An int itself passes on one type test."""
+    if type(x) is not int and (
+        isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+    ):
         raise ValidationError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -149,10 +151,13 @@ class SetFunction:
         raise NotImplementedError
 
     def values(self) -> np.ndarray:
-        """All 2^n values, indexed by mask. Cached, read-only."""
+        """All 2^n values, indexed by mask. Cached, read-only; a table with
+        an inf or NaN entry is refused when it is first built."""
         if self._table is None:
             masks = np.arange(1 << self.n, dtype=np.uint64)
             table = np.asarray(self.values_at(masks), dtype=np.float64)
+            if not np.isfinite(table).all():
+                raise ValidationError("set-function values must be finite")
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -304,16 +309,18 @@ class FacilityLocationCost(SetFunction):
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         """Gathered from the whole 2^n cost table, built by a subset-sum
-        doubling per open set: O(2^m * 2^n) time in two 2^n buffers."""
+        doubling per open set: O(2^m * 2^n) time in two 2^n buffers. A sum
+        that overflows stays inf, which `values` refuses."""
         table = np.full(1 << self.n, np.inf)
         sums = np.empty(1 << self.n)
         halves = doubling_halves(sums, self.n)
-        for open_cost, nearest in self._open_sets():
-            subset_sums(nearest, sums, halves)
-            sums += open_cost
-            np.minimum(table, sums, out=table)
-        table[0] = 0.0  # serving nobody opens nothing
-        table += self.base_cost
+        with np.errstate(over="ignore"):
+            for open_cost, nearest in self._open_sets():
+                subset_sums(nearest, sums, halves)
+                sums += open_cost
+                np.minimum(table, sums, out=table)
+            table[0] = 0.0  # serving nobody opens nothing
+            table += self.base_cost
         return table[masks]
 
     def to_json(self) -> dict:
@@ -335,12 +342,16 @@ def function_from_json(data: dict) -> SetFunction:
         raise ValidationError("set-function JSON needs a 'type' field") from None
     try:
         if type_name == "explicit":
+            # array("d") refuses strings and null while converting at the
+            # speed of np.array(..., float), which would parse "1.5". It reads
+            # true and false as 1 and 0: a table of bools alone is refused,
+            # by a scan that stops at the first number.
             try:
-                # array("d") refuses strings and null while converting at the
-                # speed of np.array(..., float), which would parse "1.5".
                 values = array.array("d", data["values"])
             except TypeError:
-                raise ValidationError("explicit table entries must be numbers") from None
+                values = None
+            if values is None or values and all(type(x) is bool for x in data["values"]):
+                raise ValidationError("explicit table entries must be numbers")
             f = TableFunction(np.frombuffer(values))
             if "n" in data and as_int(data["n"], "explicit n") != f.n:
                 raise ValidationError(
@@ -387,11 +398,9 @@ def _checker_table(f: SetFunction, tol: float) -> tuple[np.ndarray, float]:
 def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     """f(S) <= f(S + i) + tol * unit_scale(f) for every S and i not in S."""
     v, tol = _checker_table(f, tol)
-    masks = np.arange(1 << f.n)
     for i in range(f.n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        if np.any(v[without | bit] < v[without] - tol):
+        w = v.reshape(-1, 2, 1 << i)  # w[:, 0] the sets without i, w[:, 1] with it
+        if np.any(w[:, 1] < w[:, 0] - tol):
             return False
     return True
 
@@ -400,13 +409,12 @@ def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
     """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - tol * unit_scale(f)
     for i != j, S avoiding both; sign is +1 for submodular, -1 for supermodular."""
     v, tol = _checker_table(f, tol)
-    masks = np.arange(1 << f.n)
     for i in range(f.n):
-        bi = 1 << i
         for j in range(i + 1, f.n):
-            bj = 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            if np.any(sign * (v[base | bi] + v[base | bj]) < sign * (v[base | bi | bj] + v[base]) - tol):
+            # axes: bits above j, bit j, bits between, bit i, bits below i
+            w = v.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            s, si, sj, sij = w[:, 0, :, 0], w[:, 0, :, 1], w[:, 1, :, 0], w[:, 1, :, 1]
+            if np.any(sign * (si + sj) < sign * (sij + s) - tol):
                 return False
     return True
 
@@ -423,13 +431,14 @@ def is_supermodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
 
 
 def is_subadditive(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """f(S | T) <= f(S) + f(T) + tol * unit_scale(f) over all pairs of subsets."""
+    """f(S | T) <= f(S) + f(T) + tol * unit_scale(f) over all pairs of subsets.
+    The test is symmetric in S and T, so T runs over the masks from S up."""
     if f.n > MAX_SUBADDITIVE:
         raise SizeCapError(f"subadditivity check needs n <= {MAX_SUBADDITIVE}, got {f.n}")
     v, tol = _checker_table(f, tol)
     masks = np.arange(1 << f.n)
     for s in range(1 << f.n):
-        if np.any(v[masks | s] > v[s] + v[masks] + tol):
+        if np.any(v[masks[s:] | s] > v[s] + v[s:] + tol):
             return False
     return True
 

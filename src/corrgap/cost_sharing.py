@@ -8,7 +8,7 @@ gives the (m, k) shares of their elements. `certify` asks for one batch per
 set size, covering every ordering of every subset, and checks
 cross-monotonicity by gathering the shares of each restriction from the
 smaller sizes' batches. `partial_prefix_cross_monotone` runs on the same
-plan, masked to the orderings that respect a split's block order.
+plan, kept to the orderings that respect a split's block order.
 """
 
 from __future__ import annotations
@@ -218,28 +218,27 @@ def partial_prefix_cross_monotone(
     late ones (S' a partial prefix of T'). The scheme's f is never seen, so
     tol is in the units of the shares.
 
-    Runs on `certify`'s plan: one `scheme.share` batch per set size over the
-    block-respecting orderings (labels never increase along the row). A
-    restriction of such an ordering respects the blocks too, so every S' row
-    is in its size's batch; one comparison per pair of set sizes follows."""
+    Runs on `certify`'s plan, kept to the block-respecting rows of each size
+    (labels never increase along the row): one `scheme.share` batch each. A
+    restriction of such a row respects the blocks too, so it maps into its
+    size's kept rows by their running count; one comparison per size pair."""
     n = split_map.n_new
     _guard_certify(n)
     levels, _, restrictions = _enumeration(n)
     labels = np.asarray(split_map.labels)
-    level_labels = [labels[orders] for orders, _ in levels]
-    shares = []  # rows outside the block order hold NaN, which never compares as a violation
-    for (orders, _), lab in zip(levels, level_labels):
-        respecting = (lab[:, 1:] <= lab[:, :-1]).all(axis=1)
-        batch = np.full(orders.shape, np.nan)
-        batch[respecting] = scheme.share(orders[respecting])
-        shares.append(batch)
+    kept = []  # per size: block-respecting rows, their labels, their shares, row -> kept row
+    for orders, _ in levels:
+        lab = labels[orders]
+        keep = (lab[:, 1:] <= lab[:, :-1]).all(axis=1)
+        kept.append((keep, lab[keep], scheme.share(orders[keep]), np.cumsum(keep) - 1))
 
     for k, j, cols, rows in restrictions:
-        lab = level_labels[k - 1]
+        keep, lab, shares, _ = kept[k - 1]
+        sub_shares, sub_row = kept[j - 1][2:]
         # On a row whose labels never increase, S' is a partial prefix (its
         # smallest label >= the largest dropped one) iff it keeps the row's
         # j highest labels: its labels, in row order, are the first j.
         prefix = (lab[:, cols] == lab[:, None, :j]).all(axis=2)
-        if (shares[j - 1][rows[prefix]] < shares[k - 1][:, cols][prefix] - tol).any():
+        if (sub_shares[sub_row[rows[keep][prefix]]] < shares[:, cols][prefix] - tol).any():
             return False
     return True

@@ -12,7 +12,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SetFunction, SizeCapError, ValidationError, as_marginals, elements_of
+from .core import (
+    SetFunction,
+    SizeCapError,
+    ValidationError,
+    as_int,
+    as_marginals,
+    as_real,
+    check_ground_size,
+    doubling_halves,
+    elements_of,
+)
 from .rng import counter_uniforms
 
 NEG_PROB_EPS = 1e-12   # clamp floor for simplex output hygiene
@@ -22,20 +32,20 @@ SUM_TOL = 1e-9
 
 class ScenarioDistribution:
     """Distribution with finite support {(mask, probability)} over subsets of
-    a ground set of size n. Probabilities must be finite; they are clamped at
-    -1e-12, entries below 1e-12 dropped, duplicates merged; the total must be
-    1 within 1e-9."""
+    a ground set of size n (1 <= n <= MAX_EXACT). Masks must be integers and
+    probabilities finite numbers; probabilities are clamped at -1e-12,
+    entries below 1e-12 dropped, duplicates merged; the total must be 1
+    within 1e-9."""
 
     def __init__(self, n: int, support: Iterable[tuple[int, float]]):
-        if not 1 <= n:
-            raise ValidationError("ground set size must be >= 1")
+        check_ground_size(n)
         self.n = n
         full = (1 << n) - 1
         merged: dict[int, float] = {}
         total = 0.0
         for mask, prob in support:
-            mask = int(mask)
-            prob = float(prob)
+            mask = as_int(mask, "scenario mask")
+            prob = as_real(prob, "scenario probability")
             if not 0 <= mask <= full:
                 raise ValidationError(f"mask {mask} out of range for n={n}")
             if not math.isfinite(prob):
@@ -98,11 +108,9 @@ def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
     p = as_marginals(p, n)
     weights = np.empty(1 << n)
     weights[0] = 1.0
-    k = 1
-    for pi in p:
-        np.multiply(weights[:k], pi, out=weights[k : 2 * k])
-        weights[:k] *= 1.0 - pi
-        k *= 2
+    for pi, (low, high) in zip(p, doubling_halves(weights, n)):
+        np.multiply(low, pi, out=high)
+        low *= 1.0 - pi
     return weights
 
 

@@ -247,7 +247,7 @@ def random_ufl_space(seed: int, n_clients: int = 6, n_facilities: int = 3) -> De
     sets. Deterministic in the seed."""
     check_ground_size(n_clients)
     if n_facilities > 8:
-        raise ValidationError("ufl generator caps facilities at 8 (2^8 decisions)")
+        raise SizeCapError("ufl generator caps facilities at 8 (2^8 decisions)")
     rng = SplitMix64(seed)
     clients = [(rng.random(), rng.random()) for _ in range(n_clients)]
     facilities = [(rng.random(), rng.random()) for _ in range(n_facilities)]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestGapCommand:
         bad.write_text('{"function": {"type": "explicit", "n": 2, "values": [0, 1, NaN, 2]}, "marginals": [0.5, 0.5]}')
         code, out, err = run_cli(capsys, "worst-case", "--instance", str(bad))
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("command", ["gap", "worst-case"])
+    def test_overflowing_facility_table_exits_2(self, capsys, tmp_path, command):
+        bad = tmp_path / "overflow.json"
+        function = {"type": "facility_location", "open_costs": [0], "distances": [[1e308], [1e308]]}
+        bad.write_text(json.dumps({"function": function, "marginals": [0.5, 0.5]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--instance", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
     def test_explicit_n_mismatch_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "n3.json"
@@ -570,6 +582,7 @@ class TestNumericFields:
         "payload",
         [
             instance_with(EXPLICIT, values=["0", "1.5", "1", "2"]),
+            instance_with(EXPLICIT, values=[False, True, True, True]),
             instance_with(EXPLICIT, n=2.0),
             instance_with(EXPLICIT, marginals=["0.5", 0.5]),
             instance_with(EXPLICIT, marginals=[True, 0.5]),
@@ -586,6 +599,7 @@ class TestNumericFields:
         ],
         ids=[
             "values-strings",
+            "values-bools",
             "explicit-n-float",
             "marginals-string",
             "marginals-bool",

@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgap.core import (
+    CHECK_TOL,
     MAX_EXACT,
     CoverageMax,
     FacilityLocationCost,
@@ -13,6 +17,8 @@ from corrgap.core import (
     TableFunction,
     TwoStageFlow,
     ValidationError,
+    as_int,
+    as_real,
     function_from_json,
     is_monotone,
     is_subadditive,
@@ -20,6 +26,7 @@ from corrgap.core import (
     is_supermodular,
     mask_of,
     subset_sums,
+    unit_scale,
 )
 
 
@@ -212,6 +219,123 @@ class TestStructureCheckers:
             is_subadditive(CoverageMax(13, [list(range(13))]))
 
 
+CHECKS = [is_monotone, is_submodular, is_supermodular, is_subadditive]
+
+
+def brute_force_structure(f, tol=CHECK_TOL):
+    """Per-pair Python reference for the four structure checks: every (S, i),
+    every (S, i, j) with i < j and every ordered pair (S, T), one float
+    comparison each, written as the checks write it."""
+    v = f.values().tolist()
+    t = tol * unit_scale(f.values())
+    full = range(1 << f.n)
+    pairs = [(1 << i, 1 << j) for i in range(f.n) for j in range(i + 1, f.n)]
+
+    def exchange(sign):
+        return all(
+            not sign * (v[s | bi] + v[s | bj]) < sign * (v[s | bi | bj] + v[s]) - t
+            for bi, bj in pairs
+            for s in full
+            if not s & (bi | bj)
+        )
+
+    return {
+        is_monotone: all(
+            not v[s | 1 << i] < v[s] - t for s in full for i in range(f.n) if not s >> i & 1
+        ),
+        is_submodular: exchange(1.0),
+        is_supermodular: exchange(-1.0),
+        is_subadditive: all(not v[s | u] > v[s] + v[u] + t for s in full for u in full),
+    }
+
+
+def random_structure_table(seed):
+    """A seeded table at n = 1 + seed % 7: modular, square-of-size or
+    threshold-like or uniform, with about a fifth of its entries moved by up
+    to 3e-9 so that some margins sit near the tolerance, and negated at
+    random."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 7
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(float)
+    kind = seed // 7 % 4
+    if kind == 0:
+        table = subset_sums(rng.integers(-2, 6, n) / 8)
+    elif kind == 1:
+        table = sizes**2 / 64
+    elif kind == 2:
+        table = np.minimum(sizes, 2) / 4
+    else:
+        table = rng.random(1 << n) - 0.25
+    moved = rng.random(1 << n) < 0.2
+    table = table + moved * rng.integers(-3, 4, 1 << n) * 1e-9
+    return TableFunction(table * rng.choice([-1.0, 1.0]))
+
+
+class TestStructureCheckersAgainstBruteForce:
+    """Each check gives the per-pair reference's verdict, on seeded tables
+    and at a margin exactly at -tol * unit_scale(f) and one float past it."""
+
+    @pytest.mark.parametrize("tol", [0.0, CHECK_TOL, 4e-9])
+    def test_random_tables(self, tol):
+        verdicts = {check: set() for check in CHECKS}
+        for seed in range(140):
+            f = random_structure_table(seed)
+            expected = brute_force_structure(f, tol)
+            for check in CHECKS:
+                assert check(f, tol) == expected[check], (seed, check.__name__)
+                verdicts[check].add(expected[check])
+        assert all(seen == {True, False} for seen in verdicts.values())
+
+    # Dyadic tables, so every sum the checks form is exact: n = 4, tol a
+    # power of two and unit_scale(f) = 1.
+    TOL = 2.0**-10
+
+    def modular(self, free=None):
+        """f(S) = sum of dyadic weights over S, element `free` weighing 0."""
+        weights = [0.1875, 0.1875, 0.25, 0.3125]
+        return subset_sums([0.0 if i == free else w for i, w in enumerate(weights)])
+
+    def verdicts(self, table, check):
+        f = TableFunction(table)
+        assert unit_scale(f.values()) == 1.0
+        expected = brute_force_structure(f, self.TOL)[check]
+        assert check(f, self.TOL) == expected
+        return expected
+
+    @pytest.mark.parametrize("s, i", [(0, 0), (0b0101, 1), (0b0011, 3), (0b1010, 2)])
+    def test_monotone_margin_at_the_tolerance(self, s, i):
+        # element i adds nothing, except at S where it costs exactly tol
+        table = self.modular(free=i)
+        table[s | 1 << i] = table[s] - self.TOL
+        assert self.verdicts(table, is_monotone)
+        table[s | 1 << i] = math.nextafter(table[s | 1 << i], -math.inf)
+        assert not self.verdicts(table, is_monotone)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exchange_margin_at_the_tolerance(self, i, j, sign):
+        # a modular table whose pair {i, j} moves by tol against the check's
+        # direction, so only (empty, i, j) sits at the margin; then f({i})
+        # moves one float of f({i}) + f({j}) further
+        check = is_submodular if sign > 0 else is_supermodular
+        table = self.modular()
+        table[1 << i | 1 << j] += sign * self.TOL
+        assert self.verdicts(table, check)
+        step = math.ulp(table[1 << i] + table[1 << j])
+        table[1 << i] -= sign * step
+        assert not self.verdicts(table, check)
+
+    @pytest.mark.parametrize("s, u", [(0b0001, 0b0010), (0b0001, 0b0100), (0b1000, 0b0010)])
+    def test_subadditive_margin_at_the_tolerance(self, s, u):
+        # f = 1/4 + |S|/8 off the empty set, with f(S | T) = f(S) + f(T) + tol
+        sizes = np.bitwise_count(np.arange(16, dtype=np.uint64)).astype(float)
+        table = np.where(sizes > 0, 0.25 + sizes / 8, 0.0)
+        table[s | u] = table[s] + table[u] + self.TOL
+        assert self.verdicts(table, is_subadditive)
+        table[s | u] = math.nextafter(table[s | u], math.inf)
+        assert not self.verdicts(table, is_subadditive)
+
+
 class TestFacilityLocation:
     OPEN = [3.0, 1.0]
     DIST = [[1.0, 5.0], [4.0, 1.0]]
@@ -339,6 +463,25 @@ class TestJsonRoundTrips:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("x", [3, np.int64(3), np.uint8(3)])
+    def test_as_int_accepts_integers(self, x):
+        assert as_int(x, "k") == 3 and type(as_int(x, "k")) is int
+
+    @pytest.mark.parametrize("x", [True, np.bool_(True), 3.0, "3", None])
+    def test_as_int_refuses_the_rest(self, x):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            as_int(x, "k")
+
+    @pytest.mark.parametrize("x", [0.5, np.float64(0.5), np.float32(0.5)])
+    def test_as_real_accepts_numbers(self, x):
+        assert as_real(x, "p") == 0.5 and type(as_real(x, "p")) is float
+        assert as_real(2, "p") == 2.0 and type(as_real(2, "p")) is float
+
+    @pytest.mark.parametrize("x", [False, np.bool_(False), "0.5", b"0.5"])
+    def test_as_real_refuses_strings_and_bools(self, x):
+        with pytest.raises(ValidationError, match="must be a number"):
+            as_real(x, "p")
+
     def test_ground_set_bounds(self):
         with pytest.raises(ValidationError):
             SetFunction(0)
@@ -388,6 +531,33 @@ class TestValidation:
     def test_ragged_distances_refused(self):
         with pytest.raises(ValidationError, match="distances must be numbers"):
             FacilityLocationCost([1.0], [[1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_computed_table_must_be_finite(self, bad):
+        class WithBad(SetFunction):
+            def values_at(self, masks):
+                return np.where(masks == 2, bad, 1.0)
+
+        f = WithBad(2)
+        with pytest.raises(ValidationError, match="finite"):
+            f.values()
+        with pytest.raises(ValidationError, match="finite"):
+            f.value(0)
+
+    def test_overflowing_facility_sums_refused_without_a_warning(self):
+        f = FacilityLocationCost([0.0], [[1e308], [1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                f.values()
+
+    def test_explicit_json_of_bools_alone_refused(self):
+        with pytest.raises(ValidationError, match="explicit table entries must be numbers"):
+            function_from_json({"type": "explicit", "values": [False, True]})
+        mixed = function_from_json({"type": "explicit", "values": [0, True, 1.5, False]})
+        assert mixed.values().tolist() == [0.0, 1.0, 1.5, 0.0]
+        with pytest.raises(ValidationError, match="not 2"):
+            function_from_json({"type": "explicit", "values": []})
 
     def test_table_from_array_is_a_private_copy(self):
         source = np.array([0.0, 1.0, 1.5, 2.0])

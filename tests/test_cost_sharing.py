@@ -523,6 +523,17 @@ class TestPartialPrefixAgainstReference:
             got = partial_prefix_cross_monotone(candidate, split_map)
             assert got == reference_partial_prefix(candidate, split_map)
 
+    def test_tied_labels_read_each_restriction_from_its_own_row(self):
+        # the tied labels leave block-respecting rows after other rows in
+        # every level, and each element's share is its own weight split over
+        # the set: cross-monotone, but a restriction read from another row
+        # compares another element's share, or another set size's
+        _, split_map = split_instance(threshold_instance(2), [3, 2], [2, 1, 1, 2, 0])
+        weights = np.array([1.0, 4.0, 2.0, 8.0, 16.0])
+        scheme = CostShareScheme(lambda orders: weights[orders] / orders.shape[1], label="split")
+        assert reference_partial_prefix(scheme, split_map)
+        assert partial_prefix_cross_monotone(scheme, split_map)
+
     def test_one_share_call_per_element_of_each_block_ordering(self):
         # every block-respecting ordering is asked for once, so each of its
         # elements gets one share: 60 shares at [2, 2]

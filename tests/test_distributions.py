@@ -60,7 +60,7 @@ class TestMarginals:
         d = ScenarioDistribution(k * k, [(b, 1.0 / k) for b in blocks])
         assert np.allclose(d.marginals(), [1.0 / k] * (k * k))
 
-    @pytest.mark.parametrize("n", [1, 3, 8, 9, 16, 70])
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 16])
     def test_bitwise_equal_to_per_bit_adds(self, n):
         rng = np.random.default_rng(n)
         masks = [int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in range(n + 1)]
@@ -202,6 +202,19 @@ class TestScenarioValidation:
     def test_mask_range(self):
         with pytest.raises(ValidationError):
             ScenarioDistribution(2, [(4, 1.0)])
+
+    @pytest.mark.parametrize("entry", [(1.7, 1.0), (True, 1.0), (1, "1.0"), (1, True)])
+    def test_masks_integers_and_probabilities_numbers(self, entry):
+        with pytest.raises(ValidationError, match="must be"):
+            ScenarioDistribution(2, [entry])
+
+    def test_one_size_rule(self):
+        with pytest.raises(ValidationError):
+            ScenarioDistribution(0, [(0, 1.0)])
+        with pytest.raises(SizeCapError):
+            ScenarioDistribution(MAX_EXACT + 1, [(0, 1.0)])
+        with pytest.raises(SizeCapError):
+            ScenarioDistribution(40, [(1 << 39, 1.0)])
 
     def test_to_json(self):
         d = ScenarioDistribution(3, [(0, 0.25), (5, 0.75)])

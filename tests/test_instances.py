@@ -204,6 +204,10 @@ class TestUflSpace:
             indep = independent_expectation_exact(d.function, space.marginals)
             assert worst_case_lp(inst).value >= indep - 1e-9
 
+    def test_facility_cap_is_a_size_cap(self):
+        with pytest.raises(SizeCapError, match="8"):
+            random_ufl_space(1, n_facilities=9)
+
     def test_sixteen_decision_solve(self):
         space = random_ufl_space(8, n_clients=5, n_facilities=4)
         assert len(space.decisions) == 16

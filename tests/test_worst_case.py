@@ -13,6 +13,7 @@ from corrgap.cli import main
 from corrgap.core import (
     MAX_EXACT,
     Instance,
+    SetFunction,
     SizeCapError,
     TableFunction,
     TwoStageFlow,
@@ -185,6 +186,15 @@ def scale_table(seed):
     """A seeded random n=10 table in [0, 1) with marginals in [0.1, 0.9]."""
     rng = np.random.default_rng(seed)
     return rng.random(1 << 10), rng.uniform(0.1, 0.9, 10)
+
+
+def test_nan_valued_function_refused_before_the_simplex():
+    class WithNaN(SetFunction):
+        def values_at(self, masks):
+            return np.where(masks == 3, np.nan, masks.astype(float))
+
+    with pytest.raises(ValidationError, match="finite"):
+        wc.worst_case_lp(Instance(WithNaN(2), [0.5, 0.5]))
 
 
 class TestUnitScale:
