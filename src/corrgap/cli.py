@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import Instance, SizeCapError, ValidationError, function_from_json
 from .cost_sharing import certify, incremental_scheme
-from .distributions import independent_expectation_mc
+from .distributions import check_sample_count, independent_expectation_mc
 from .gap import correlation_gap
 from .instances import REGISTRY, WelfareCase, build_builtin, verification_report
 from .robust import DecisionSpace, approximation_ratio
@@ -211,11 +211,12 @@ def _emit(payload: dict, args) -> None:
 
 def _cmd_gap(args) -> int:
     inst = _as_instance(_load_source(args))
-    report = correlation_gap(inst, eta=args.eta, beta=args.beta)
-    payload = report.to_json()
     if args.samples is not None:
         if args.seed is None:
             raise ValidationError("--samples requires --seed for reproducibility")
+        check_sample_count(args.samples)
+    payload = correlation_gap(inst, eta=args.eta, beta=args.beta).to_json()
+    if args.samples is not None:
         mc = independent_expectation_mc(inst.function, inst.marginals, args.samples, args.seed)
         payload["independent_mc"] = mc.to_json()
     _emit(payload, args)

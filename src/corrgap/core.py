@@ -389,15 +389,15 @@ def unit_scale(values: np.ndarray) -> float:
     return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
 
 
-def _checker_table(f: SetFunction, tol: float) -> tuple[np.ndarray, float]:
-    """f's table and tol in the units of f: tol * unit_scale(f)."""
+def _checker_table(f: SetFunction) -> tuple[np.ndarray, float]:
+    """f's table and CHECK_TOL in the units of f: CHECK_TOL * unit_scale(f)."""
     v = f.values()
-    return v, tol * unit_scale(v)
+    return v, CHECK_TOL * unit_scale(v)
 
 
-def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """f(S) <= f(S + i) + tol * unit_scale(f) for every S and i not in S."""
-    v, tol = _checker_table(f, tol)
+def is_monotone(f: SetFunction) -> bool:
+    """f(S) <= f(S + i) + CHECK_TOL * unit_scale(f) for every S and i not in S."""
+    v, tol = _checker_table(f)
     for i in range(f.n):
         w = v.reshape(-1, 2, 1 << i)  # w[:, 0] the sets without i, w[:, 1] with it
         if np.any(w[:, 1] < w[:, 0] - tol):
@@ -405,10 +405,10 @@ def is_monotone(f: SetFunction, tol: float = CHECK_TOL) -> bool:
     return True
 
 
-def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
-    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - tol * unit_scale(f)
+def _exchange_holds(f: SetFunction, sign: float) -> bool:
+    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - CHECK_TOL * unit_scale(f)
     for i != j, S avoiding both; sign is +1 for submodular, -1 for supermodular."""
-    v, tol = _checker_table(f, tol)
+    v, tol = _checker_table(f)
     for i in range(f.n):
         for j in range(i + 1, f.n):
             # axes: bits above j, bit j, bits between, bit i, bits below i
@@ -419,23 +419,24 @@ def _exchange_holds(f: SetFunction, sign: float, tol: float) -> bool:
     return True
 
 
-def is_submodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
+def is_submodular(f: SetFunction) -> bool:
     """Diminishing marginals: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for i != j,
-    S avoiding both, within tol * unit_scale(f)."""
-    return _exchange_holds(f, 1.0, tol)
+    S avoiding both, within CHECK_TOL * unit_scale(f)."""
+    return _exchange_holds(f, 1.0)
 
 
-def is_supermodular(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """Increasing marginals: is_submodular's inequality reversed, within tol * unit_scale(f)."""
-    return _exchange_holds(f, -1.0, tol)
+def is_supermodular(f: SetFunction) -> bool:
+    """Increasing marginals: is_submodular's inequality reversed, within
+    CHECK_TOL * unit_scale(f)."""
+    return _exchange_holds(f, -1.0)
 
 
-def is_subadditive(f: SetFunction, tol: float = CHECK_TOL) -> bool:
-    """f(S | T) <= f(S) + f(T) + tol * unit_scale(f) over all pairs of subsets.
+def is_subadditive(f: SetFunction) -> bool:
+    """f(S | T) <= f(S) + f(T) + CHECK_TOL * unit_scale(f) over all pairs of subsets.
     The test is symmetric in S and T, so T runs over the masks from S up."""
     if f.n > MAX_SUBADDITIVE:
         raise SizeCapError(f"subadditivity check needs n <= {MAX_SUBADDITIVE}, got {f.n}")
-    v, tol = _checker_table(f, tol)
+    v, tol = _checker_table(f)
     masks = np.arange(1 << f.n)
     for s in range(1 << f.n):
         if np.any(v[masks[s:] | s] > v[s] + v[s:] + tol):

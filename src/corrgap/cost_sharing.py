@@ -131,10 +131,10 @@ def _max_fold(acc: float, candidates: np.ndarray) -> float:
     return float(greater.max()) if greater.size else acc
 
 
-def certify(scheme: CostShareScheme, f: SetFunction, tol: float = CHECK_TOL) -> CertificationResult:
+def certify(scheme: CostShareScheme, f: SetFunction) -> CertificationResult:
     """Smallest budget-balance and weak-summability constants of the scheme on
     f, plus exhaustive cross-monotonicity, over all subsets and orderings.
-    Shares and costs are compared within tol * unit_scale(f).
+    Shares and costs are compared within CHECK_TOL * unit_scale(f).
 
     One `scheme.share` batch per set size k covers all C(n, k)·k! orderings.
     Totals and prefix totals add shares in ordering position order, one
@@ -144,7 +144,7 @@ def certify(scheme: CostShareScheme, f: SetFunction, tol: float = CHECK_TOL) -> 
     n = f.n
     levels, masks, restrictions = _enumeration(n)
     values = f.values()
-    tol *= unit_scale(values)
+    tol = CHECK_TOL * unit_scale(values)
 
     shares, totals, prefix_totals = [], [], []
     prefix_total = np.zeros(1)
@@ -209,14 +209,12 @@ def lift_scheme(scheme: CostShareScheme, split_map: SplitMap) -> CostShareScheme
     return CostShareScheme(share, label=f"lifted({scheme.label})")
 
 
-def partial_prefix_cross_monotone(
-    scheme: CostShareScheme, split_map: SplitMap, tol: float = CHECK_TOL
-) -> bool:
+def partial_prefix_cross_monotone(scheme: CostShareScheme, split_map: SplitMap) -> bool:
     """Cross-monotonicity of a lifted scheme restricted to the orderings that
     respect the split's block order (higher labels first) and to pairs
     S' <= T' where S' sits in the early blocks and the added elements in the
     late ones (S' a partial prefix of T'). The scheme's f is never seen, so
-    tol is in the units of the shares.
+    CHECK_TOL is in the units of the shares.
 
     Runs on `certify`'s plan, kept to the block-respecting rows of each size
     (labels never increase along the row): one `scheme.share` batch each. A
@@ -239,6 +237,6 @@ def partial_prefix_cross_monotone(
         # smallest label >= the largest dropped one) iff it keeps the row's
         # j highest labels: its labels, in row order, are the first j.
         prefix = (lab[:, cols] == lab[:, None, :j]).all(axis=2)
-        if (sub_shares[sub_row[rows[keep][prefix]]] < shares[:, cols][prefix] - tol).any():
+        if (sub_shares[sub_row[rows[keep][prefix]]] < shares[:, cols][prefix] - CHECK_TOL).any():
             return False
     return True

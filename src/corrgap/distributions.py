@@ -137,6 +137,14 @@ _MC_BLOCK = 1 << 11  # samples per uniform draw: 2^11 * n floats stay in cache
 MAX_SAMPLES = 1 << 26
 
 
+def check_sample_count(samples: int) -> None:
+    """The one sample-count rule: 1 <= samples <= MAX_SAMPLES."""
+    if samples < 1:
+        raise ValidationError("need at least one sample")
+    if samples > MAX_SAMPLES:
+        raise SizeCapError(f"{samples} samples exceeds cap {MAX_SAMPLES}")
+
+
 def independent_expectation_mc(
     f: SetFunction, p: Sequence[float], samples: int, seed: int
 ) -> MCEstimate:
@@ -149,10 +157,7 @@ def independent_expectation_mc(
     turns into one little-endian uint64 mask per sample.
     """
     p = np.array(as_marginals(p, f.n))
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    if samples > MAX_SAMPLES:
-        raise SizeCapError(f"{samples} samples exceeds cap {MAX_SAMPLES}")
+    check_sample_count(samples)
     n = f.n
     table = f.values()
     bits = np.zeros((_MC_BLOCK, 64), dtype=bool)

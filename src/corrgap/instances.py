@@ -43,7 +43,7 @@ from .worst_case import supermodular_worst_case, verify_certificate, worst_case_
 # named constructors
 
 
-def two_stage_flow_space(n: int = 4) -> DecisionSpace:
+def two_stage_flow_space(n: int) -> DecisionSpace:
     """Capacity decisions x = 0..n against n coin-flip unit demands; unmet
     demand is repaired at 2^n per unit, so ignoring correlations is punished
     exponentially. Every induced cost function is supermodular."""
@@ -53,7 +53,7 @@ def two_stage_flow_space(n: int = 4) -> DecisionSpace:
     return DecisionSpace([0.5] * n, decisions)
 
 
-def coverage_partition_instance(k: int = 3) -> Instance:
+def coverage_partition_instance(k: int) -> Instance:
     """n = k^2 elements in k blocks of k, marginals 1/k, cost = the largest
     per-block hit count. Worst case concentrates on whole blocks (value k);
     independently the blocks are iid Binomial(k, 1/k) draws."""
@@ -83,7 +83,7 @@ def max_binomial_expectation(k: int) -> float:
     return total
 
 
-def coverage_two_stage_space(k: int = 3) -> DecisionSpace:
+def coverage_two_stage_space(k: int) -> DecisionSpace:
     """Two-stage extension of the coverage partition family: decision m buys m
     disjoint transversals up front (covering the first m elements of every
     block) at a per-set price calibrated to the independent expectation."""
@@ -101,7 +101,7 @@ def coverage_two_stage_space(k: int = 3) -> DecisionSpace:
     return DecisionSpace(base.marginals, decisions)
 
 
-def threshold_instance(n: int = 3) -> Instance:
+def threshold_instance(n: int) -> Instance:
     """f(S) = 1 for nonempty S, marginals 1/n: the gap tends to e/(e-1)."""
     check_ground_size(n)
     table = np.ones(1 << n)

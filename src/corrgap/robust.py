@@ -70,11 +70,9 @@ class DecisionSpace:
             raise ValidationError(f"decision-space JSON missing field: {exc}") from None
 
 
-def evaluate_g(space: DecisionSpace, decision: Decision | int) -> float:
-    """Worst-case expected cost of one decision: the scenario LP's value."""
-    if isinstance(decision, int):
-        decision = space.decisions[decision]
-    return worst_case_lp(space.instance_for(decision)).value
+def evaluate_g(space: DecisionSpace, k: int) -> float:
+    """Worst-case expected cost of decision k: the scenario LP's value."""
+    return worst_case_lp(space.instance_for(space.decisions[k])).value
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,9 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     order = sorted(range(len(decisions)), key=lambda k: (indep_values[k], k))
     order.remove(indep_idx)  # already first unless some E_I is NaN
     for k in [indep_idx, *order]:
-        d = decisions[k]
-        if indep_values[k] - CERT_TOL * unit_scale(d.function.values()) > g_min:
+        if indep_values[k] - CERT_TOL * unit_scale(decisions[k].function.values()) > g_min:
             continue
-        g_values[k] = evaluate_g(space, d)
+        g_values[k] = evaluate_g(space, k)
         g_min = min(g_min, g_values[k])
 
     robust_idx = min(g_values, key=lambda k: (g_values[k], k))

@@ -42,6 +42,7 @@ LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / unit_scale(f)
 CERT_TOL = 1e-6
 _BLAND_AFTER = 25      # consecutive degenerate pivots before switching pricing
 _REFACTOR_EVERY = 100
+_PIVOTS_PER_COLUMN = 50  # a solve stalls after this many pivots per column, 2^n of them
 
 
 class SimplexStallError(RuntimeError):
@@ -161,7 +162,7 @@ _solve = _umath_linalg.solve1
 
 
 @np.errstate(call=_invalid_arithmetic, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _simplex_max(values: np.ndarray, p, tol: float, max_iter: int):
+def _simplex_max(values: np.ndarray, p):
     """Maximise values @ alpha over the marginal polytope; returns
     (basis masks, basic solution, duals y, SimplexStats) at optimality.
 
@@ -175,6 +176,8 @@ def _simplex_max(values: np.ndarray, p, tol: float, max_iter: int):
     lists of at most 17 entries; the basis inverse, the pricing buffer and
     the two matrix-vector products per pivot stay in numpy."""
     n = len(p)
+    tol = LP_TOL
+    max_iter = _PIVOTS_PER_COLUMN << n
     b = np.array([*p, 1.0])
     reduced = np.empty(1 << n)
     halves = doubling_halves(reduced, n)
@@ -287,17 +290,15 @@ def _certifiable_scale(values: np.ndarray) -> float:
     return scale
 
 
-def worst_case_lp(inst: Instance, max_iter: int | None = None) -> WorstCaseResult:
+def worst_case_lp(inst: Instance) -> WorstCaseResult:
     """Optimal value, an optimal basic distribution (support <= n+1), and the
     optimal dual of the scenario LP, solved on f / unit_scale(f). A subnormal
     f is refused: its values sit on a grid too coarse to certify."""
     n = inst.n
     values = inst.function.values()
-    if max_iter is None:
-        max_iter = 50 * (1 << n)
     scale = _certifiable_scale(values)
     scaled = values if scale == 1.0 else values / scale
-    basis, x_b, y, stats = _simplex_max(scaled, inst.marginals, LP_TOL, max_iter)
+    basis, x_b, y, stats = _simplex_max(scaled, inst.marginals)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
     value = float(values[basis] @ x_b)
     duals = (y * scale).tolist()
@@ -332,19 +333,22 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
     return WorstCaseResult(float(value), dist, float(f_empty), tuple(lam))
 
 
-def verify_certificate(inst: Instance, result: WorstCaseResult, tol: float = CERT_TOL) -> bool:
+def verify_certificate(inst: Instance, result: WorstCaseResult) -> bool:
     """Primal feasibility, dual feasibility over all 2^n scenarios, and
     primal-dual objective equality. The two probability checks are within
-    tol; the expectation, dual and objective checks, in the units of f, are
-    within tol * unit_scale(f). A subnormal f is refused, as by worst_case_lp."""
+    CERT_TOL; the expectation, dual and objective checks, in the units of f,
+    are within CERT_TOL * unit_scale(f). A subnormal f, or a result whose
+    distribution or lambda is for another ground set, is refused."""
+    if result.distribution.n != inst.n or len(result.dual_lambda) != inst.n:
+        raise ValidationError("certificate and instance ground sets differ")
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
     values = inst.function.values()
-    tol_f = tol * _certifiable_scale(values)
+    tol_f = CERT_TOL * _certifiable_scale(values)
 
-    if np.max(np.abs(result.distribution.marginals() - p)) > tol:
+    if np.max(np.abs(result.distribution.marginals() - p)) > CERT_TOL:
         return False
-    if abs(sum(prob for _, prob in result.distribution.support) - 1.0) > tol:
+    if abs(sum(prob for _, prob in result.distribution.support) - 1.0) > CERT_TOL:
         return False
     if abs(result.distribution.expectation(inst.function) - result.value) > tol_f:
         return False

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrgap import instances
+from corrgap import cli, instances
 from corrgap.cli import _build_parser, _load_source, main
 from corrgap.core import MAX_EXACT
 from corrgap.distributions import MAX_SAMPLES
@@ -104,6 +104,20 @@ class TestGapCommand:
     def test_monte_carlo_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--builtin", "example3", "--n", "3", "--samples", "100")
         assert code == 2 and "seed" in err
+
+    @pytest.mark.parametrize(
+        "samples, code",
+        [(["--samples", "10"], 2), (["--samples", "0", "--seed", "1"], 2),
+         (["--samples", "100000000000", "--seed", "1"], 3)],
+        ids=["no-seed", "zero", "over-cap"],
+    )
+    def test_bad_samples_refused_before_the_lp(self, capsys, monkeypatch, samples, code):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("correlation_gap ran")
+
+        monkeypatch.setattr(cli, "correlation_gap", unreachable)
+        got, out, err = run_cli(capsys, "gap", "--builtin", "example2", "--k", "4", *samples)
+        assert got == code and out == "" and err.count("\n") == 1
 
     def test_monte_carlo_reported_and_reproducible(self, capsys):
         a = run_json(capsys, "gap", "--builtin", "example3", "--n", "3", "--samples", "2000", "--seed", "9")
@@ -882,8 +896,9 @@ class TestSolverStall:
     def test_stall_exits_4_with_one_line(self, capsys, monkeypatch, argv):
         import corrgap.worst_case as wc
 
-        def stall(values, p, tol, max_iter):
-            raise wc.SimplexStallError(f"no optimum within {max_iter} pivots")
+        def stall(values, p):
+            cap = wc._PIVOTS_PER_COLUMN << len(p)
+            raise wc.SimplexStallError(f"no optimum within {cap} pivots")
 
         monkeypatch.setattr(wc, "_simplex_max", stall)
         code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrgap.core as core
 from corrgap.core import (
     CHECK_TOL,
     MAX_EXACT,
@@ -276,13 +277,14 @@ class TestStructureCheckersAgainstBruteForce:
     and at a margin exactly at -tol * unit_scale(f) and one float past it."""
 
     @pytest.mark.parametrize("tol", [0.0, CHECK_TOL, 4e-9])
-    def test_random_tables(self, tol):
+    def test_random_tables(self, monkeypatch, tol):
+        monkeypatch.setattr(core, "CHECK_TOL", tol)
         verdicts = {check: set() for check in CHECKS}
         for seed in range(140):
             f = random_structure_table(seed)
             expected = brute_force_structure(f, tol)
             for check in CHECKS:
-                assert check(f, tol) == expected[check], (seed, check.__name__)
+                assert check(f) == expected[check], (seed, check.__name__)
                 verdicts[check].add(expected[check])
         assert all(seen == {True, False} for seen in verdicts.values())
 
@@ -299,7 +301,9 @@ class TestStructureCheckersAgainstBruteForce:
         f = TableFunction(table)
         assert unit_scale(f.values()) == 1.0
         expected = brute_force_structure(f, self.TOL)[check]
-        assert check(f, self.TOL) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "CHECK_TOL", self.TOL)
+            assert check(f) == expected
         return expected
 
     @pytest.mark.parametrize("s, i", [(0, 0), (0b0101, 1), (0b0011, 3), (0b1010, 2)])

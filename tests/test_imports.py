@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports. `__init__.py` is
-left out: its imports are the package's exports."""
+"""Every module of the package uses each name it imports (`__init__.py` is
+left out: its imports are the package's exports), and no function of the
+checking modules takes a tolerance or pivot cap per call."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,33 @@ def test_no_unused_imports(path):
 def test_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Sequence, Callable\nx: Sequence = os.sep\n")
     assert [n for n in imported_names(tree) if n not in used_names(tree)] == ["Callable"]
+
+
+# The checks of these modules read their module's tolerance and pivot cap
+# (CHECK_TOL, CERT_TOL, LP_TOL, _PIVOTS_PER_COLUMN) at call time, so that
+# every verdict is made under one rule; a test patches the constant instead.
+ONE_TOLERANCE_MODULES = ("core.py", "cost_sharing.py", "worst_case.py")
+PER_CALL_KNOBS = {"tol", "max_iter"}
+
+
+def per_call_knobs(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}({p.arg})" for p in params if p and p.arg in PER_CALL_KNOBS]
+    return found
+
+
+@pytest.mark.parametrize("name", ONE_TOLERANCE_MODULES)
+def test_no_per_call_tolerance(name):
+    path = Path(corrgap.__file__).parent / name
+    knobs = per_call_knobs(ast.parse(path.read_text(encoding="utf-8")))
+    assert knobs == [], f"{name} takes a per-call tolerance or pivot cap: {knobs}"
+
+
+def test_check_sees_a_per_call_tolerance():
+    tree = ast.parse("def f(x, tol=1e-9):\n    def g(*, max_iter): pass\ndef h(tolerance): pass\n")
+    assert per_call_knobs(tree) == ["f(tol)", "g(max_iter)"]

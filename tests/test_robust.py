@@ -259,9 +259,9 @@ class TestPrunedRobustSolve:
         evaluated = []
         evaluate = robust.evaluate_g
 
-        def spy(space, decision):
-            evaluated.append(decision.label)
-            return evaluate(space, decision)
+        def spy(space, k):
+            evaluated.append(space.decisions[k].label)
+            return evaluate(space, k)
 
         monkeypatch.setattr(robust, "evaluate_g", spy)
         low = Decision("low", TableFunction([1.0] * 4))

@@ -107,9 +107,23 @@ class TestWorstCaseLP:
             inst = random_monotone_instance(600 + trial, 5)
             assert verify_certificate(inst, worst_case_lp(inst))
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(SimplexStallError):
-            worst_case_lp(threshold_instance(6), max_iter=1)
+    def test_certificate_for_another_ground_set_refused(self):
+        with pytest.raises(ValidationError, match="ground sets differ"):
+            verify_certificate(threshold_instance(2), worst_case_lp(threshold_instance(3)))
+
+    def test_lambda_for_another_ground_set_refused(self):
+        inst = threshold_instance(2)
+        own = worst_case_lp(inst)
+        lam = (*own.dual_lambda, 0.0)
+        three = WorstCaseResult(own.value, own.distribution, own.dual_gamma, lam)
+        with pytest.raises(ValidationError, match="ground sets differ"):
+            verify_certificate(inst, three)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a cap of 0 pivots; threshold_instance(6) takes 5
+        monkeypatch.setattr(wc, "_PIVOTS_PER_COLUMN", 0)
+        with pytest.raises(SimplexStallError, match="no optimum within 0 pivots"):
+            worst_case_lp(threshold_instance(6))
 
     @pytest.mark.parametrize(
         "make, pivots",
@@ -233,7 +247,12 @@ class TestScaleFree:
     """L, the pivots and the certificate do not depend on the units of f.
     With tolerances absolute in the units of f, the solve stalled for
     s >= 1e8, read L low for s <= 1e-9 and certified a zero certificate
-    there. max_iter keeps a regression from stalling for seconds."""
+    there. A cap of 5 pivots per column (5 120 at n = 10, where the slowest
+    solve takes 40) keeps a regression from stalling for seconds."""
+
+    @pytest.fixture(autouse=True)
+    def pivot_cap(self, monkeypatch):
+        monkeypatch.setattr(wc, "_PIVOTS_PER_COLUMN", 5)
 
     @pytest.mark.parametrize(
         "s", [1e-12, 1e-9, 1e-6, 1e3, 1e6, 1e8, 1e9, 1e12, 1e-300, 1e300, 2.0**1000]
@@ -241,9 +260,9 @@ class TestScaleFree:
     @pytest.mark.parametrize("seed", range(5))
     def test_scaled_table_solves_and_certifies(self, seed, s):
         table, p = scale_table(seed)
-        base = worst_case_lp(Instance(TableFunction(table), p), max_iter=5000)
+        base = worst_case_lp(Instance(TableFunction(table), p))
         inst = Instance(TableFunction(table * s), p)
-        result = worst_case_lp(inst, max_iter=5000)
+        result = worst_case_lp(inst)
         assert result.stats.pivots == base.stats.pivots
         assert abs(result.value - s * base.value) <= 1e-12 * s * base.value
         assert verify_certificate(inst, result)
@@ -278,8 +297,8 @@ class TestScaleFree:
         table, p = rng.random(1 << n), rng.uniform(0.05, 0.95, n)
         a = 10.0**log_a
         c = a * shift
-        base = worst_case_lp(Instance(TableFunction(table), p), max_iter=5000).value
-        moved = worst_case_lp(Instance(TableFunction(a * table + c), p), max_iter=5000).value
+        base = worst_case_lp(Instance(TableFunction(table), p)).value
+        moved = worst_case_lp(Instance(TableFunction(a * table + c), p)).value
         assert abs(moved - (a * base + c)) <= 1e-9 * a * (1.0 + abs(shift))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), log_a=st.floats(-12.0, 12.0))
@@ -296,8 +315,8 @@ class TestScaleFree:
         moved_table[relabelled] = table
         moved_p = np.empty_like(p)
         moved_p[perm] = p
-        base = worst_case_lp(Instance(TableFunction(table), p), max_iter=5000).value
-        moved = worst_case_lp(Instance(TableFunction(moved_table), moved_p), max_iter=5000).value
+        base = worst_case_lp(Instance(TableFunction(table), p)).value
+        moved = worst_case_lp(Instance(TableFunction(moved_table), moved_p)).value
         assert abs(moved - base) <= 1e-9 * a
 
     @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e3, 1e6, 1e9, 1e12])
@@ -316,7 +335,7 @@ class TestScaleFree:
             assert highs.status == 0
             expected = -highs.fun if s > 1 else -highs.fun * s
             inst = Instance(TableFunction(table * s), p)
-            result = worst_case_lp(inst, max_iter=5000)
+            result = worst_case_lp(inst)
             assert abs(result.value - expected) <= 1e-9 * s
             assert verify_certificate(inst, result)
 
@@ -417,7 +436,7 @@ def assert_same_solve(inst):
     y and the solve counts."""
     values, p, n = inst.function.values(), np.asarray(inst.marginals), inst.n
     basis, x_b, y, stats = reference_simplex_max(values, p)
-    lean_basis, lean_x, lean_y, lean_stats = wc._simplex_max(values, p, LP_TOL, 50 * (1 << n))
+    lean_basis, lean_x, lean_y, lean_stats = wc._simplex_max(values, p)
     assert lean_basis == basis
     assert lean_x.tobytes() == x_b.tobytes()
     assert lean_y.tobytes() == y.tobytes()
@@ -579,7 +598,7 @@ class TestCertificateScanMatchesFourSweeps:
             assert verify_certificate(inst, result) is old is expected
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_largest_excess_at_tol_and_one_ulp_either_side(self, seed):
+    def test_largest_excess_at_tol_and_one_ulp_either_side(self, monkeypatch, seed):
         inst = drawn_instance("random", 3 + seed, 100 + seed, marginals="random")
         honest = worst_case_lp(inst)
         # Trade gamma against lambda_0 so that the objective holds but some
@@ -592,7 +611,10 @@ class TestCertificateScanMatchesFourSweeps:
         excess -= gamma
         largest = float(excess.max())
         tols = [np.nextafter(largest, -np.inf), largest, np.nextafter(largest, np.inf)]
-        verdicts = [verify_certificate(inst, moved, tol) for tol in tols]
+        verdicts = []
+        for tol in tols:
+            monkeypatch.setattr(wc, "CERT_TOL", tol)
+            verdicts.append(verify_certificate(inst, moved))
         assert verdicts == [four_sweep_verify(inst, moved, tol) for tol in tols]
         assert verdicts == [False, True, True]
 
