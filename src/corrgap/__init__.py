@@ -14,7 +14,6 @@ from .core import (
     ValidationError,
     function_from_json,
     is_monotone,
-    is_subadditive,
     is_submodular,
     is_supermodular,
 )

@@ -1,10 +1,11 @@
 """Ground sets, subsets as bitmasks, set-function oracles, and exhaustive
-structure checks (monotone / submodular / supermodular / subadditive).
+structure checks (monotone / submodular / supermodular).
 
 Subsets of a ground set {0..n-1} are unsigned ints with bit i set iff element
 i is in the subset; explicit tables are indexed by that mask value. Every set
 function is a read-only table of its 2^n values, so n is capped at MAX_EXACT
-when the function is built.
+when the function is built; the table is checked once, where it is built,
+and carries its unit scale.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 MAX_EXACT = 16         # every set function is a table of at most 2^16 values
-MAX_SUBADDITIVE = 12   # subadditivity scans all pairs of subsets
 MAX_FACILITIES = 12    # facility-location evaluation brute-forces open subsets
 CHECK_TOL = 1e-9       # relative to unit_scale(f)
 
@@ -137,7 +137,7 @@ class SetFunction:
     1 <= n <= MAX_EXACT.
 
     A subclass defines one evaluator, `values_at`; `values` caches it over
-    every mask, and every engine and `value` read that table.
+    every mask, and every engine and `value` read that table and `scale`.
     Instances are immutable after construction apart from the value cache.
     """
 
@@ -150,17 +150,34 @@ class SetFunction:
         """f at each mask of an integer array, as float64."""
         raise NotImplementedError
 
+    def _store(self, table) -> None:
+        """The one table rule, applied where a table is built: float64, every
+        entry finite, and max|f| either 0 or at least 2^-1022 (a subnormal
+        f sits on a grid too coarse to certify). The table is then kept
+        read-only beside its unit_scale."""
+        table = np.asarray(table, dtype=np.float64)
+        if not np.isfinite(table).all():
+            raise ValidationError("set-function values must be finite")
+        scale = unit_scale(table)
+        if scale <= 2.0**-1022:
+            raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
+        table.flags.writeable = False
+        self._table, self._scale = table, scale
+
     def values(self) -> np.ndarray:
-        """All 2^n values, indexed by mask. Cached, read-only; a table with
-        an inf or NaN entry is refused when it is first built."""
+        """All 2^n values, indexed by mask: built and checked on first use,
+        then cached read-only."""
         if self._table is None:
-            masks = np.arange(1 << self.n, dtype=np.uint64)
-            table = np.asarray(self.values_at(masks), dtype=np.float64)
-            if not np.isfinite(table).all():
-                raise ValidationError("set-function values must be finite")
-            table.flags.writeable = False
-            self._table = table
+            self._store(self.values_at(np.arange(1 << self.n, dtype=np.uint64)))
         return self._table
+
+    @property
+    def scale(self) -> float:
+        """unit_scale(f), computed once with the table: the unit that every
+        check in the units of f multiplies its tolerance by."""
+        if self._table is None:
+            self.values()
+        return self._scale
 
     def value(self, mask: int) -> float:
         if not 0 <= mask < 1 << self.n:
@@ -180,11 +197,8 @@ class TableFunction(SetFunction):
         n = size.bit_length() - 1
         if n < 1 or size != 1 << n:
             raise ValidationError(f"explicit table length {size} is not 2^n for n >= 1")
-        if not np.isfinite(arr).all():
-            raise ValidationError("explicit table entries must be finite")
         super().__init__(n)
-        arr.flags.writeable = False
-        self._table = arr
+        self._store(arr)
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         return self._table[masks]
@@ -391,8 +405,7 @@ def unit_scale(values: np.ndarray) -> float:
 
 def _checker_table(f: SetFunction) -> tuple[np.ndarray, float]:
     """f's table and CHECK_TOL in the units of f: CHECK_TOL * unit_scale(f)."""
-    v = f.values()
-    return v, CHECK_TOL * unit_scale(v)
+    return f.values(), CHECK_TOL * f.scale
 
 
 def is_monotone(f: SetFunction) -> bool:
@@ -429,19 +442,6 @@ def is_supermodular(f: SetFunction) -> bool:
     """Increasing marginals: is_submodular's inequality reversed, within
     CHECK_TOL * unit_scale(f)."""
     return _exchange_holds(f, -1.0)
-
-
-def is_subadditive(f: SetFunction) -> bool:
-    """f(S | T) <= f(S) + f(T) + CHECK_TOL * unit_scale(f) over all pairs of subsets.
-    The test is symmetric in S and T, so T runs over the masks from S up."""
-    if f.n > MAX_SUBADDITIVE:
-        raise SizeCapError(f"subadditivity check needs n <= {MAX_SUBADDITIVE}, got {f.n}")
-    v, tol = _checker_table(f)
-    masks = np.arange(1 << f.n)
-    for s in range(1 << f.n):
-        if np.any(v[masks[s:] | s] > v[s] + v[s:] + tol):
-            return False
-    return True
 
 
 def as_marginals(marginals: Sequence[float], n: int) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CHECK_TOL, SetFunction, SizeCapError, unit_scale
+from .core import CHECK_TOL, SetFunction, SizeCapError
 from .split import SplitMap
 
 CERTIFY_CAP = 6  # enumerates all subsets and all orderings of each
@@ -35,7 +35,6 @@ class CostShareScheme:
     the set of row r, ordered as row r."""
 
     share: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
 
 def incremental_scheme(f: SetFunction) -> CostShareScheme:
@@ -51,7 +50,7 @@ def incremental_scheme(f: SetFunction) -> CostShareScheme:
         before[:, 1:] = after[:, :-1]
         return values[after] - values[before]
 
-    return CostShareScheme(share, label="incremental")
+    return CostShareScheme(share)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _max_fold(acc: float, candidates: np.ndarray) -> float:
 def certify(scheme: CostShareScheme, f: SetFunction) -> CertificationResult:
     """Smallest budget-balance and weak-summability constants of the scheme on
     f, plus exhaustive cross-monotonicity, over all subsets and orderings.
-    Shares and costs are compared within CHECK_TOL * unit_scale(f).
+    Shares and costs are compared within CHECK_TOL * f.scale.
 
     One `scheme.share` batch per set size k covers all C(n, k)·k! orderings.
     Totals and prefix totals add shares in ordering position order, one
@@ -144,7 +143,7 @@ def certify(scheme: CostShareScheme, f: SetFunction) -> CertificationResult:
     n = f.n
     levels, masks, restrictions = _enumeration(n)
     values = f.values()
-    tol = CHECK_TOL * unit_scale(values)
+    tol = CHECK_TOL * f.scale
 
     shares, totals, prefix_totals = [], [], []
     prefix_total = np.zeros(1)
@@ -206,7 +205,7 @@ def lift_scheme(scheme: CostShareScheme, split_map: SplitMap) -> CostShareScheme
             out[at] = scheme.share(orig[at].reshape(-1, d)).ravel()
         return out
 
-    return CostShareScheme(share, label=f"lifted({scheme.label})")
+    return CostShareScheme(share)
 
 
 def partial_prefix_cross_monotone(scheme: CostShareScheme, split_map: SplitMap) -> bool:

@@ -49,18 +49,17 @@ def correlation_gap(
     beta: float | None = None,
 ) -> GapReport:
     """kappa = L/I with L from the scenario LP and I by exact enumeration.
+    eta and beta, when given, are checked before either is computed.
 
     When I is zero the ratio has no value: for the all-zero case (L also zero)
     kappa is reported as 1, otherwise as undefined -- never as NaN.
     """
+    bound = None
+    if eta is not None or beta is not None:
+        bound = theoretical_bound(eta if eta is not None else 1.0, beta if beta is not None else 1.0)
     worst = worst_case_lp(inst).value
     indep = independent_expectation_exact(inst.function, inst.marginals)
     kappa = safe_ratio(worst, indep)
-
-    bound = None
-    bound_satisfied = None
-    if eta is not None or beta is not None:
-        bound = theoretical_bound(eta if eta is not None else 1.0, beta if beta is not None else 1.0)
-        bound_satisfied = None if kappa is None else kappa <= bound + BOUND_TOL
+    bound_satisfied = None if bound is None or kappa is None else kappa <= bound + BOUND_TOL
 
     return GapReport(worst, indep, kappa, kappa is None, bound, bound_satisfied)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CHECK_TOL, Instance, SetFunction, ValidationError, as_marginals
-from .core import function_from_json, unit_scale
+from .core import function_from_json
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
 from .worst_case import CERT_TOL, worst_case_lp
@@ -100,12 +100,12 @@ class RobustSolveReport:
 def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     """Full report: both argmins (ties to the first decision), g at the
     independent decision, the ratio g(x_I)/g(x_R), and a numeric check of
-    g(x_R) >= E_I(x_R) >= E_I(x_I) within CHECK_TOL * max unit_scale(f) of the two.
+    g(x_R) >= E_I(x_R) >= E_I(x_I) within CHECK_TOL * the larger f.scale of the two.
 
     Decisions are visited by ascending (E_I, index), x_I first. x_I is
     always evaluated; any other x is skipped when E_I(x) - CERT_TOL *
-    unit_scale(f_x) exceeds the least g so far. The LP stops within LP_TOL *
-    unit_scale(f_x) of g(x) >= E_I(x), so a skipped x has g(x) above that
+    f_x.scale exceeds the least g so far. The LP stops within LP_TOL *
+    f_x.scale of g(x) >= E_I(x), so a skipped x has g(x) above that
     least g and cannot be x_R: the report is the one that evaluating every g
     gives."""
     decisions = space.decisions
@@ -117,7 +117,7 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     order = sorted(range(len(decisions)), key=lambda k: (indep_values[k], k))
     order.remove(indep_idx)  # already first unless some E_I is NaN
     for k in [indep_idx, *order]:
-        if indep_values[k] - CERT_TOL * unit_scale(decisions[k].function.values()) > g_min:
+        if indep_values[k] - CERT_TOL * decisions[k].function.scale > g_min:
             continue
         g_values[k] = evaluate_g(space, k)
         g_min = min(g_min, g_values[k])
@@ -126,7 +126,7 @@ def approximation_ratio(space: DecisionSpace) -> RobustSolveReport:
     g_robust = g_values[robust_idx]
     g_indep = g_values[indep_idx]
     pair = (decisions[robust_idx], decisions[indep_idx])
-    tol = CHECK_TOL * max(unit_scale(d.function.values()) for d in pair)
+    tol = CHECK_TOL * max(d.function.scale for d in pair)
     chain_ok = (
         g_robust >= indep_values[robust_idx] - tol
         and indep_values[robust_idx] >= indep_values[indep_idx] - tol

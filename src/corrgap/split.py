@@ -22,7 +22,6 @@ from .core import (
     check_ground_size,
     doubling_halves,
     is_monotone,
-    unit_scale,
 )
 from .gap import correlation_gap
 from .worst_case import CERT_TOL
@@ -122,7 +121,7 @@ def verify_split_properties(inst: Instance, counts: Sequence[int]) -> SplitPrope
     monotone instance preserves monotonicity and the worst-case value and never
     increases the independent expectation (hence never shrinks the gap). The
     worst-case values agree within CERT_TOL and the independent ones within
-    CHECK_TOL, times unit_scale(f); kappa, unit-free, within 1e-6. An
+    CHECK_TOL, times f.scale; kappa, unit-free, within 1e-6. An
     undefined gap (L/0) compares equal only to another undefined gap."""
     if not is_monotone(inst.function):
         raise ValidationError("split property verification expects a monotone function")
@@ -134,7 +133,7 @@ def verify_split_properties(inst: Instance, counts: Sequence[int]) -> SplitPrope
         kappa_non_decreasing = before.kappa == after.kappa
     else:
         kappa_non_decreasing = after.kappa >= before.kappa - 1e-6
-    scale = unit_scale(inst.function.values())
+    scale = inst.function.scale
     return SplitPropertiesReport(
         monotone_preserved=monotone_preserved,
         worst_before=before.worst_value,

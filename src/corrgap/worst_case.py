@@ -19,7 +19,7 @@ entering column is rebuilt from the bits of its mask. Memory is one 2^n
 buffer beyond the table of f, and the certificate scan prices the same way.
 
 Results do not depend on the units of f. The simplex runs on f / 2^e, where
-2^e = unit_scale(f) brings max|f| into [0.5, 1), so its tolerances compare
+2^e = f.scale brings max|f| into [0.5, 1), so its tolerances compare
 like with like at every scale; dividing by a power of two is exact, and a
 table already in [0.5, 1) is solved as given. The certificate's checks in
 the units of f scale their tolerance by the same 2^e.
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import MAX_EXACT, Instance, ValidationError, doubling_halves
-from .core import subset_sums, unit_scale
+from .core import MAX_EXACT, Instance, ValidationError, doubling_halves, subset_sums
 from .distributions import ScenarioDistribution
 
-LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / unit_scale(f)
+LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / f.scale
 CERT_TOL = 1e-6
 _BLAND_AFTER = 25      # consecutive degenerate pivots before switching pricing
 _REFACTOR_EVERY = 100
@@ -281,22 +280,12 @@ def _simplex_max(values: np.ndarray, p):
     return basis, x_b, y, SimplexStats(pivots, degenerate, bland_at, refactors)
 
 
-def _certifiable_scale(values: np.ndarray) -> float:
-    """unit_scale(f), refusing a subnormal f: its values sit on a grid too
-    coarse to certify."""
-    scale = unit_scale(values)
-    if scale <= 2.0**-1022:
-        raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
-    return scale
-
-
 def worst_case_lp(inst: Instance) -> WorstCaseResult:
     """Optimal value, an optimal basic distribution (support <= n+1), and the
-    optimal dual of the scenario LP, solved on f / unit_scale(f). A subnormal
-    f is refused: its values sit on a grid too coarse to certify."""
+    optimal dual of the scenario LP, solved on f / f.scale."""
     n = inst.n
     values = inst.function.values()
-    scale = _certifiable_scale(values)
+    scale = inst.function.scale
     scaled = values if scale == 1.0 else values / scale
     basis, x_b, y, stats = _simplex_max(scaled, inst.marginals)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
@@ -337,14 +326,14 @@ def verify_certificate(inst: Instance, result: WorstCaseResult) -> bool:
     """Primal feasibility, dual feasibility over all 2^n scenarios, and
     primal-dual objective equality. The two probability checks are within
     CERT_TOL; the expectation, dual and objective checks, in the units of f,
-    are within CERT_TOL * unit_scale(f). A subnormal f, or a result whose
-    distribution or lambda is for another ground set, is refused."""
+    are within CERT_TOL * f.scale. A result whose distribution or lambda is
+    for another ground set is refused."""
     if result.distribution.n != inst.n or len(result.dual_lambda) != inst.n:
         raise ValidationError("certificate and instance ground sets differ")
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
     values = inst.function.values()
-    tol_f = CERT_TOL * _certifiable_scale(values)
+    tol_f = CERT_TOL * inst.function.scale
 
     if np.max(np.abs(result.distribution.marginals() - p)) > CERT_TOL:
         return False

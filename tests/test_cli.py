@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrgap import cli, instances
+from corrgap import cli, core, gap, instances, welfare
 from corrgap.cli import _build_parser, _load_source, main
 from corrgap.core import MAX_EXACT
 from corrgap.distributions import MAX_SAMPLES
@@ -46,6 +46,16 @@ class TestGapCommand:
     def test_bound_flags(self, capsys):
         data = run_json(capsys, "gap", "--builtin", "example3", "--n", "4", "--eta", "1", "--beta", "1")
         assert data["bound_satisfied"] is True
+
+    @pytest.mark.parametrize("flag, value", [("--eta", "0.5"), ("--beta", "nan"), ("--eta", "1e400")])
+    def test_bad_bound_constant_exits_2_before_the_lp(self, capsys, monkeypatch, flag, value):
+        def no_solve(*args):
+            raise AssertionError("the n = 16 LP ran before eta and beta were checked")
+
+        monkeypatch.setattr(gap, "worst_case_lp", no_solve)
+        code, out, err = run_cli(capsys, "gap", "--builtin", "example2", "--k", "4", flag, value)
+        assert code == 2 and out == ""
+        assert err == "error: eta and beta must both be finite and >= 1\n"
 
     def test_bad_marginal_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -851,6 +861,39 @@ class TestUnitsOfF:
         code, out, err = run_cli(capsys, "worst-case", "--instance", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: f is subnormal") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gap"], ["worst-case"], ["split-verify"], ["certify-scheme"], ["welfare", "--k", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_subnormal_table_exits_2_under_every_command(self, capsys, tmp_path, monkeypatch, argv):
+        # refused where the table is built: certify-scheme once exited 0 with
+        # a subnormal tolerance, and welfare ran its subset DP first
+        def no_dp(*args):
+            raise AssertionError("the welfare DP ran on a subnormal table")
+
+        monkeypatch.setattr(welfare, "welfare_ip_optimum", no_dp)
+        s = 1e-310
+        path = tmp_path / "input.json"
+        path.write_text(
+            json.dumps({"function": {"type": "explicit", "values": [0, s, s, 3 * s]}, "marginals": [0.3, 0.6]})
+        )
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: f is subnormal") and err.count("\n") == 1
+
+    def test_robust_computes_each_decisions_scale_once(self, capsys, monkeypatch):
+        calls = []
+        unit_scale = core.unit_scale
+
+        def counted(values):
+            calls.append(len(values))
+            return unit_scale(values)
+
+        monkeypatch.setattr(core, "unit_scale", counted)
+        run_json(capsys, "robust", "--builtin", "example2_two_stage", "--k", "4")
+        assert calls == [1 << 16] * 5  # one per decision, though three LPs and the chain read it
 
     @pytest.mark.parametrize(
         "inst",

@@ -22,7 +22,6 @@ from corrgap.core import (
     as_real,
     function_from_json,
     is_monotone,
-    is_subadditive,
     is_submodular,
     is_supermodular,
     mask_of,
@@ -125,6 +124,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             v[0] = 9.0
 
+    def test_scale_is_computed_once_with_the_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "unit_scale", lambda v: calls.append(len(v)) or 4.0)
+        f = CoverageMax(4, [[0, 1], [2, 3]])
+        assert calls == []
+        assert f.scale == 4.0 and f.scale == 4.0 and f.values() is f.values()
+        assert calls == [16]
+
+    @pytest.mark.parametrize("top", [5e-324, -1e-310])
+    def test_computed_subnormal_table_refused_when_built(self, top):
+        class Tiny(SetFunction):
+            def values_at(self, masks):
+                return np.where(masks == 3, top, 0.0)
+
+        for read in (Tiny.values, lambda f: f.scale):
+            with pytest.raises(ValidationError, match="f is subnormal"):
+                read(Tiny(2))
+
 
 def masked_add_sums(weights):
     """Reference: add weights[i] into every mask holding bit i, one element
@@ -174,9 +191,8 @@ class TestStructureCheckers:
         assert is_supermodular(f)
         assert not is_submodular(f)
 
-    def test_coverage_max_subadditive_not_submodular(self):
+    def test_coverage_max_not_submodular(self):
         f = CoverageMax(4, [[0, 1], [2, 3]])
-        assert is_subadditive(f)
         assert not is_submodular(f)
 
     def test_modular_iff_both(self):
@@ -207,26 +223,21 @@ class TestStructureCheckers:
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_coverage_max_monotone_subadditive_any_partition(self, n, data):
+    def test_coverage_max_monotone_any_partition(self, n, data):
         assignment = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         blocks = [[i for i in range(n) if assignment[i] == b] for b in range(3)]
         blocks = [b for b in blocks if b]
         f = CoverageMax(n, blocks)
         assert is_monotone(f)
-        assert is_subadditive(f)
-
-    def test_size_caps(self):
-        with pytest.raises(SizeCapError):
-            is_subadditive(CoverageMax(13, [list(range(13))]))
 
 
-CHECKS = [is_monotone, is_submodular, is_supermodular, is_subadditive]
+CHECKS = [is_monotone, is_submodular, is_supermodular]
 
 
 def brute_force_structure(f, tol=CHECK_TOL):
-    """Per-pair Python reference for the four structure checks: every (S, i),
-    every (S, i, j) with i < j and every ordered pair (S, T), one float
-    comparison each, written as the checks write it."""
+    """Per-pair Python reference for the three structure checks: every
+    (S, i) and every (S, i, j) with i < j, one float comparison each,
+    written as the checks write it."""
     v = f.values().tolist()
     t = tol * unit_scale(f.values())
     full = range(1 << f.n)
@@ -246,7 +257,6 @@ def brute_force_structure(f, tol=CHECK_TOL):
         ),
         is_submodular: exchange(1.0),
         is_supermodular: exchange(-1.0),
-        is_subadditive: all(not v[s | u] > v[s] + v[u] + t for s in full for u in full),
     }
 
 
@@ -328,16 +338,6 @@ class TestStructureCheckersAgainstBruteForce:
         step = math.ulp(table[1 << i] + table[1 << j])
         table[1 << i] -= sign * step
         assert not self.verdicts(table, check)
-
-    @pytest.mark.parametrize("s, u", [(0b0001, 0b0010), (0b0001, 0b0100), (0b1000, 0b0010)])
-    def test_subadditive_margin_at_the_tolerance(self, s, u):
-        # f = 1/4 + |S|/8 off the empty set, with f(S | T) = f(S) + f(T) + tol
-        sizes = np.bitwise_count(np.arange(16, dtype=np.uint64)).astype(float)
-        table = np.where(sizes > 0, 0.25 + sizes / 8, 0.0)
-        table[s | u] = table[s] + table[u] + self.TOL
-        assert self.verdicts(table, is_subadditive)
-        table[s | u] = math.nextafter(table[s | u], math.inf)
-        assert not self.verdicts(table, is_subadditive)
 
 
 class TestFacilityLocation:

@@ -110,14 +110,14 @@ class TestCertify:
 
     def test_zero_scheme_on_positive_function_unbounded(self):
         f = threshold_instance(2).function
-        zero = CostShareScheme(lambda orders: np.zeros(orders.shape), label="zero")
+        zero = CostShareScheme(lambda orders: np.zeros(orders.shape))
         cert = certify(zero, f)
         assert math.isinf(cert.beta_star)
         assert cert.to_json()["beta_star"] == "unbounded"
 
     def test_overcharging_scheme_flagged(self):
         f = threshold_instance(2).function
-        greedy = CostShareScheme(lambda orders: np.ones(orders.shape), label="overcharge")
+        greedy = CostShareScheme(lambda orders: np.ones(orders.shape))
         cert = certify(greedy, f)
         assert not cert.budget_upper_ok and math.isinf(cert.beta_star)
 
@@ -126,7 +126,7 @@ class TestCertify:
         # tight at singletons (ratio 1) while the full-ground chain only needs
         # n / n^2 = 1/3, so the two reported constants separate
         f = square_function(3)
-        flat = CostShareScheme(lambda orders: np.ones(orders.shape), label="flat")
+        flat = CostShareScheme(lambda orders: np.ones(orders.shape))
         cert = certify(flat, f)
         assert cert.eta_star == pytest.approx(1.0, abs=1e-12)
         assert cert.eta_star_chain == pytest.approx(1 / 3, abs=1e-12)
@@ -257,17 +257,16 @@ def random_table(seed, n, monotone):
     return TableFunction(np.random.default_rng(seed).uniform(-1.0, 2.0, 1 << n))
 
 
-PATHOLOGICAL_SCHEMES = (
-    CostShareScheme(lambda orders: np.zeros(orders.shape), label="zero"),
-    CostShareScheme(lambda orders: np.full(orders.shape, 0.4), label="flat"),
-    CostShareScheme(lambda orders: np.full(orders.shape, 1.0 / orders.shape[1]), label="equal-split"),
-    CostShareScheme(lambda orders: np.ones(orders.shape), label="overcharge"),
-)
+PATHOLOGICAL_SCHEMES = {
+    "zero": CostShareScheme(lambda orders: np.zeros(orders.shape)),
+    "flat": CostShareScheme(lambda orders: np.full(orders.shape, 0.4)),
+    "equal-split": CostShareScheme(lambda orders: np.full(orders.shape, 1.0 / orders.shape[1])),
+    "overcharge": CostShareScheme(lambda orders: np.ones(orders.shape)),
+}
 
 # NaN on pairs, else growing with the set: only comparisons without NaN fail.
 NAN_SCHEME = CostShareScheme(
-    lambda orders: np.full(orders.shape, math.nan if orders.shape[1] == 2 else float(orders.shape[1])),
-    label="nan",
+    lambda orders: np.full(orders.shape, math.nan if orders.shape[1] == 2 else float(orders.shape[1]))
 )
 
 
@@ -282,7 +281,7 @@ class TestCertifyAgainstReference:
 
     def test_matches_reference_on_pathological_schemes(self):
         f = threshold_instance(3).function
-        for scheme in PATHOLOGICAL_SCHEMES:
+        for scheme in PATHOLOGICAL_SCHEMES.values():
             assert certify(scheme, f) == reference_certify(scheme, f)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -299,7 +298,7 @@ class TestCertifyAgainstReference:
         assert cert == reference_certify(incremental_scheme(f), f)
         assert not cert.cross_monotone
 
-    @pytest.mark.parametrize("scheme", PATHOLOGICAL_SCHEMES, ids=lambda s: s.label)
+    @pytest.mark.parametrize("scheme", PATHOLOGICAL_SCHEMES.values(), ids=PATHOLOGICAL_SCHEMES)
     @pytest.mark.parametrize(
         "f", [random_table(5, 4, False), square_function(3)], ids=["random4", "square3"]
     )
@@ -355,7 +354,7 @@ class TestBatchShares:
         # the new one only.
         f = random_table(3, 4, False)
         scheme = incremental_scheme(f)
-        zero = CostShareScheme(lambda orders: np.zeros(orders.shape), label="zero")
+        zero = CostShareScheme(lambda orders: np.zeros(orders.shape))
         replaced = dataclasses.replace(scheme, share=zero.share)
         assert certify(replaced, f) == certify(zero, f) != certify(scheme, f)
 
@@ -466,7 +465,7 @@ class TestLiftAgainstReference:
             f, _, split_map = random_split(seed)
             n = split_map.n_new
             sizes.add(n)
-            for base in (incremental_scheme(f),) + PATHOLOGICAL_SCHEMES + (NAN_SCHEME,):
+            for base in (incremental_scheme(f), *PATHOLOGICAL_SCHEMES.values(), NAN_SCHEME):
                 lifted = lift_scheme(base, split_map)
                 for k in range(1, n + 1):
                     orders = all_orderings(n, k)
@@ -521,7 +520,7 @@ class TestPartialPrefixAgainstReference:
         assert True in outcomes and False in outcomes
 
     @pytest.mark.parametrize(
-        "scheme", PATHOLOGICAL_SCHEMES + (NAN_SCHEME,), ids=lambda s: s.label
+        "scheme", [*PATHOLOGICAL_SCHEMES.values(), NAN_SCHEME], ids=[*PATHOLOGICAL_SCHEMES, "nan"]
     )
     @pytest.mark.parametrize("labels", [None, [2, 1, 1, 2, 0]], ids=["default", "ties"])
     def test_custom_schemes(self, scheme, labels):
@@ -537,7 +536,7 @@ class TestPartialPrefixAgainstReference:
         # compares another element's share, or another set size's
         _, split_map = split_instance(threshold_instance(2), [3, 2], [2, 1, 1, 2, 0])
         weights = np.array([1.0, 4.0, 2.0, 8.0, 16.0])
-        scheme = CostShareScheme(lambda orders: weights[orders] / orders.shape[1], label="split")
+        scheme = CostShareScheme(lambda orders: weights[orders] / orders.shape[1])
         assert reference_partial_prefix(scheme, split_map)
         assert partial_prefix_cross_monotone(scheme, split_map)
 

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports (`__init__.py` is
-left out: its imports are the package's exports), and no function of the
-checking modules takes a tolerance or pivot cap per call."""
+left out: its imports are the package's exports), no function of the
+checking modules takes a tolerance or pivot cap per call, and only `core`
+computes a unit scale."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,24 @@ def test_no_per_call_tolerance(name):
 def test_check_sees_a_per_call_tolerance():
     tree = ast.parse("def f(x, tol=1e-9):\n    def g(*, max_iter): pass\ndef h(tolerance): pass\n")
     assert per_call_knobs(tree) == ["f(tol)", "g(max_iter)"]
+
+
+# A table's unit scale is computed once, where core checks the table; every
+# other module reads `f.scale`, so the rule for a usable unit stays in core.
+def unit_scale_calls(tree: ast.Module) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "unit_scale"
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_no_unit_scale_outside_core(path):
+    calls = unit_scale_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert calls == 0, f"{path.name} computes unit_scale itself ({calls} calls); read f.scale"
+
+
+def test_check_sees_a_unit_scale_call():
+    tree = ast.parse("a = unit_scale(v)\nb = core.unit_scale(v)\nc = f.scale\nunit_scale = 1\n")
+    assert unit_scale_calls(tree) == 2

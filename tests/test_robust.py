@@ -109,11 +109,10 @@ class TestDecisionSpace:
         assert calls == []
 
     def test_subnormal_decision_refused(self):
+        # refused where the decision's table is built, before any space exists
         s = 1e-310
-        f = TableFunction([0.0, s, s, 3 * s])
-        space = DecisionSpace([0.3, 0.6], [Decision("tiny", f)])
         with pytest.raises(ValidationError, match="subnormal"):
-            approximation_ratio(space)
+            TableFunction([0.0, s, s, 3 * s])
 
     def test_json_round_trip(self):
         space = two_stage_flow_space(3)

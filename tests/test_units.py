@@ -8,13 +8,10 @@ import math
 import numpy as np
 import pytest
 
-import corrgap.core
-import corrgap.worst_case
 from corrgap.core import (
     Instance,
     TableFunction,
     is_monotone,
-    is_subadditive,
     is_submodular,
     is_supermodular,
 )
@@ -31,7 +28,7 @@ from corrgap.robust import Decision, DecisionSpace, approximation_ratio
 from corrgap.split import verify_split_properties
 
 SCALES = [2.0**-40, 1e-12, 1e12, 2.0**40]
-CHECKS = [is_monotone, is_submodular, is_supermodular, is_subadditive]
+CHECKS = [is_monotone, is_submodular, is_supermodular]
 
 
 def scaled(f, s):
@@ -65,10 +62,6 @@ TABLES = {
     **{f"supermodular{k}": random_supermodular_instance(k, 6).function for k in range(5)},
     **{f"monotone{k}": random_monotone_instance(k, 6).function for k in range(5)},
 }
-
-
-def test_worst_case_reexports_the_core_unit_scale():
-    assert corrgap.worst_case.unit_scale is corrgap.core.unit_scale
 
 
 class TestStructureChecks:

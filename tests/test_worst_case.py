@@ -19,6 +19,7 @@ from corrgap.core import (
     TwoStageFlow,
     ValidationError,
     subset_sums,
+    unit_scale,
 )
 from corrgap.distributions import independent_expectation_exact
 from corrgap.instances import (
@@ -37,7 +38,6 @@ from corrgap.worst_case import (
     descending_order,
     prefix_masks,
     supermodular_worst_case,
-    unit_scale,
     verify_certificate,
     worst_case_lp,
 )
@@ -124,6 +124,15 @@ class TestWorstCaseLP:
         monkeypatch.setattr(wc, "_PIVOTS_PER_COLUMN", 0)
         with pytest.raises(SimplexStallError, match="no optimum within 0 pivots"):
             worst_case_lp(threshold_instance(6))
+
+    @pytest.mark.parametrize("tol, pivots, support", [(LP_TOL, 1, [1, 2]), (1e-6, 0, [0, 1, 3])])
+    def test_lp_tol_decides_whether_a_small_reduced_cost_enters(self, monkeypatch, tol, pivots, support):
+        # against the start chain {}, {0}, {0,1}, the column {1} prices at
+        # f({0}) + f({1}) - f({0,1}) - f({}) = 1e-7: above LP_TOL, below 1e-6
+        monkeypatch.setattr(wc, "LP_TOL", tol)
+        result = worst_case_lp(Instance(TableFunction([0.0, 0.5, 0.25 + 1e-7, 0.75]), [0.6, 0.4]))
+        assert result.stats.pivots == pivots
+        assert [mask for mask, _ in result.distribution.support] == support
 
     @pytest.mark.parametrize(
         "make, pivots",
@@ -271,11 +280,9 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("top", [5e-324, 1e-320, -1e-320, 2.0**-1022 - 2.0**-1074])
     def test_subnormal_table_refused(self, top):
-        inst = Instance(TableFunction([0.0, top]), [0.5])
+        # refused where the table is built, before any solve or scan
         with pytest.raises(ValidationError, match="subnormal"):
-            worst_case_lp(inst)
-        with pytest.raises(ValidationError, match="subnormal"):
-            verify_certificate(inst, supermodular_worst_case(inst))
+            TableFunction([0.0, top])
 
     @pytest.mark.parametrize("top", [0.0, 2.0**-1022, -(2.0**-1022)])
     def test_zero_and_smallest_normal_tables_solve(self, top):
