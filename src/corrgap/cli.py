@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: gap | worst-case | robust | welfare | split-verify | certify-scheme
-| verify | list-instances. Exit codes: 0 success, 1 verification failures,
-2 validation error, 3 size-cap exceeded, 4 the simplex stalled. Output is
-JSON (canonical) or a flattened CSV projection, byte-identical across runs
-for a fixed config and seed.
+| verify | list-instances. Each command returns its report, and `main` writes
+it once. Exit codes: 0 success, 1 a report whose `passed` is false, 2
+validation error (a report that would hold an inf or NaN is one), 3 size-cap
+exceeded, 4 the simplex stalled. Output is JSON (canonical) or a flattened
+CSV projection, byte-identical across runs for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import json
 import sys
 from typing import Sequence
 
-from .core import Instance, SizeCapError, ValidationError, function_from_json
+from .core import Instance, SizeCapError, ValidationError
 from .cost_sharing import certify, incremental_scheme
 from .distributions import check_sample_count, independent_expectation_mc
 from .gap import correlation_gap
-from .instances import REGISTRY, WelfareCase, build_builtin, verification_report
+from .instances import REGISTRY, WelfareCase, build_builtin, builtin_defaults, verification_report
 from .robust import DecisionSpace, approximation_ratio
 from .split import verify_split_properties
 from .welfare import welfare_report
@@ -115,11 +116,7 @@ def _load_json_file(path: str) -> dict:
 def _load_source(args) -> object:
     if bool(args.instance) == bool(args.builtin):
         raise ValidationError("exactly one of --instance or --builtin is required")
-    params = {}
-    if args.builtin:
-        if args.builtin not in REGISTRY:
-            raise ValidationError(f"unknown builtin {args.builtin!r}; see list-instances")
-        params = REGISTRY[args.builtin].defaults
+    params = builtin_defaults(args.builtin) if args.builtin else {}
     for key in ("n", "k", "seed"):
         if getattr(args, key, None) is None or key in params:
             continue
@@ -139,13 +136,7 @@ def _load_source(args) -> object:
     if "decisions" in data:
         return DecisionSpace.from_json(data)
     if "players" in data:
-        players = data["players"]
-        if type(players) is not int or players < 1:
-            raise ValidationError(f"welfare JSON players must be an integer >= 1, got {players!r}")
-        try:
-            return WelfareCase(function_from_json(data["function"]), players)
-        except KeyError as exc:
-            raise ValidationError(f"welfare JSON missing field: {exc}") from None
+        return WelfareCase.from_json(data)
     return Instance.from_json(data)
 
 
@@ -157,23 +148,16 @@ def _as_instance(source: object) -> Instance:
     raise ValidationError("this command needs a single instance, not a decision space")
 
 
-def _as_space(source: object) -> DecisionSpace:
-    if isinstance(source, DecisionSpace):
-        return source
-    raise ValidationError("this command needs a decision space (a list of decisions)")
-
-
-def _flatten(payload: object, prefix: str = "") -> list[tuple[str, object]]:
+def _flatten(payload: object, name: str = "") -> list[tuple[str, object]]:
+    """(dotted name, value) cells of a report, in key order."""
     if isinstance(payload, dict):
-        out = []
-        for key in payload:
-            out.extend(_flatten(payload[key], f"{prefix}{key}." if prefix else f"{key}."))
-        return [(name.rstrip("."), value) for name, value in out]
+        prefix = f"{name}." if name else ""
+        return [cell for key, v in payload.items() for cell in _flatten(v, prefix + key)]
     if isinstance(payload, list):
         if all(isinstance(v, (int, float, str, bool, type(None))) for v in payload):
-            return [(prefix.rstrip("."), ";".join("" if v is None else str(v) for v in payload))]
+            return [(name, ";".join("" if v is None else str(v) for v in payload))]
         return []  # nested tables are JSON-only
-    return [(prefix.rstrip("."), payload)]
+    return [(name, payload)]
 
 
 def _to_csv(payload: dict) -> str:
@@ -195,10 +179,14 @@ def _to_csv(payload: dict) -> str:
 
 
 def _emit(payload: dict, args) -> None:
+    """Write a report, the CLI's one exit for output. A report holding an inf
+    or NaN is refused in either format: RFC 8259 JSON has no such numbers."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValidationError("the report holds an inf or NaN, which JSON cannot carry") from None
     if args.format == "csv":
         text = _to_csv(payload)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -209,7 +197,7 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args) -> dict:
     inst = _as_instance(_load_source(args))
     if args.samples is not None:
         if args.seed is None:
@@ -219,41 +207,34 @@ def _cmd_gap(args) -> int:
     if args.samples is not None:
         mc = independent_expectation_mc(inst.function, inst.marginals, args.samples, args.seed)
         payload["independent_mc"] = mc.to_json()
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_worst_case(args) -> int:
+def _cmd_worst_case(args) -> dict:
     inst = _as_instance(_load_source(args))
     result = worst_case_lp(inst)
     payload = result.to_json()
-    payload["certified"] = verify_certificate(inst, result)
-    _emit(payload, args)
-    return EXIT_OK
+    payload["certified"] = verify_certificate(inst, result)  # last: the CSV column order
+    return payload
 
 
-def _cmd_robust(args) -> int:
-    space = _as_space(_load_source(args))
-    _emit(approximation_ratio(space).to_json(), args)
-    return EXIT_OK
+def _cmd_robust(args) -> dict:
+    space = _load_source(args)
+    if not isinstance(space, DecisionSpace):
+        raise ValidationError("this command needs a decision space (a list of decisions)")
+    return approximation_ratio(space).to_json()
 
 
-def _cmd_welfare(args) -> int:
+def _cmd_welfare(args) -> dict:
     source = _load_source(args)
-    if isinstance(source, WelfareCase):
-        function, players = source.function, source.players
-        if args.k is not None:
-            players = args.k
-    else:
-        function = _as_instance(source).function
-        if args.k is None:
-            raise ValidationError("welfare on a plain instance needs --k players")
-        players = args.k
-    _emit(welfare_report(function, players).to_json(), args)
-    return EXIT_OK
+    function = _as_instance(source).function
+    players = args.k if args.k is not None else getattr(source, "players", None)
+    if players is None:
+        raise ValidationError("welfare on a plain instance needs --k players")
+    return welfare_report(function, players).to_json()
 
 
-def _cmd_split_verify(args) -> int:
+def _cmd_split_verify(args) -> dict:
     inst = _as_instance(_load_source(args))
     if args.counts:
         try:
@@ -262,29 +243,23 @@ def _cmd_split_verify(args) -> int:
             raise ValidationError(f"cannot parse --counts {args.counts!r}") from None
     else:
         counts = [2] * inst.n
-    _emit(verify_split_properties(inst, counts).to_json(), args)
-    return EXIT_OK
+    return verify_split_properties(inst, counts).to_json()
 
 
-def _cmd_certify_scheme(args) -> int:
+def _cmd_certify_scheme(args) -> dict:
     inst = _as_instance(_load_source(args))
-    result = certify(incremental_scheme(inst.function), inst.function)
-    _emit(result.to_json(), args)
-    return EXIT_OK
+    return certify(incremental_scheme(inst.function), inst.function).to_json()
 
 
-def _cmd_verify(args) -> int:
-    report = verification_report(scale=args.scale)
-    _emit(report, args)
-    return EXIT_OK if report["passed"] else EXIT_FACT_FAILURES
+def _cmd_verify(args) -> dict:
+    return verification_report(scale=args.scale)
 
 
-def _cmd_list_instances() -> int:
+def _cmd_list_instances() -> None:
     for name in sorted(REGISTRY):
         builtin = REGISTRY[name]
         params = ", ".join(f"{k}={v}" for k, v in builtin.defaults.items()) or "-"
         sys.stdout.write(f"{name:20s} [{builtin.kind:8s}] ({params}) {builtin.summary}\n")
-    return EXIT_OK
 
 
 _HANDLERS = {
@@ -299,15 +274,19 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse argv, build the command's report, emit it once and return the
+    exit code: 1 for a report whose `passed` is false, else 0."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list_instances or args.command == "list-instances":
-        return _cmd_list_instances()
+        _cmd_list_instances()
+        return EXIT_OK
     if args.command is None:
         parser.print_help()
         return EXIT_VALIDATION
     try:
-        return _HANDLERS[args.command](args)
+        payload = _HANDLERS[args.command](args)
+        _emit(payload, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -317,6 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SimplexStallError as exc:
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    return EXIT_OK if payload.get("passed", True) else EXIT_FACT_FAILURES
 
 
 if __name__ == "__main__":

@@ -403,14 +403,10 @@ def unit_scale(values: np.ndarray) -> float:
     return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
 
 
-def _checker_table(f: SetFunction) -> tuple[np.ndarray, float]:
-    """f's table and CHECK_TOL in the units of f: CHECK_TOL * unit_scale(f)."""
-    return f.values(), CHECK_TOL * f.scale
-
-
 def is_monotone(f: SetFunction) -> bool:
-    """f(S) <= f(S + i) + CHECK_TOL * unit_scale(f) for every S and i not in S."""
-    v, tol = _checker_table(f)
+    """f(S) <= f(S + i) + CHECK_TOL * f.scale for every S and i not in S: the
+    tolerance in the units of f."""
+    v, tol = f.values(), CHECK_TOL * f.scale
     for i in range(f.n):
         w = v.reshape(-1, 2, 1 << i)  # w[:, 0] the sets without i, w[:, 1] with it
         if np.any(w[:, 1] < w[:, 0] - tol):
@@ -419,9 +415,10 @@ def is_monotone(f: SetFunction) -> bool:
 
 
 def _exchange_holds(f: SetFunction, sign: float) -> bool:
-    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - CHECK_TOL * unit_scale(f)
-    for i != j, S avoiding both; sign is +1 for submodular, -1 for supermodular."""
-    v, tol = _checker_table(f)
+    """sign * (f(S+i) + f(S+j)) >= sign * (f(S+i+j) + f(S)) - CHECK_TOL * f.scale
+    for i != j, S avoiding both, the tolerance in the units of f; sign is +1
+    for submodular, -1 for supermodular."""
+    v, tol = f.values(), CHECK_TOL * f.scale
     for i in range(f.n):
         for j in range(i + 1, f.n):
             # axes: bits above j, bit j, bits between, bit i, bits below i

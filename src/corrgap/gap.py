@@ -40,7 +40,10 @@ def theoretical_bound(eta: float, beta: float) -> float:
     """The gap bound eta * beta * e/(e-1) for an (eta, beta) cost-sharing scheme."""
     if not (1.0 <= eta < math.inf and 1.0 <= beta < math.inf):
         raise ValidationError("eta and beta must both be finite and >= 1")
-    return eta * beta * GAP_BOUND_CONSTANT
+    bound = eta * beta * GAP_BOUND_CONSTANT
+    if bound == math.inf:
+        raise ValidationError(f"eta * beta * e/(e-1) overflows float64: eta={eta!r}, beta={beta!r}")
+    return bound
 
 
 def correlation_gap(

@@ -23,6 +23,7 @@ from .core import (
     block_max_counts,
     check_ground_size,
     elements_of,
+    function_from_json,
     is_monotone,
     is_submodular,
     is_supermodular,
@@ -125,6 +126,16 @@ class WelfareCase:
 
     def to_json(self) -> dict:
         return {"function": self.function.to_json(), "players": self.players}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "WelfareCase":
+        players = data.get("players")
+        if type(players) is not int or players < 1:
+            raise ValidationError(f"welfare JSON players must be an integer >= 1, got {players!r}")
+        try:
+            return cls(function_from_json(data["function"]), players)
+        except KeyError as exc:
+            raise ValidationError(f"welfare JSON missing field: {exc}") from None
 
 
 def welfare_gap_case() -> WelfareCase:
@@ -335,19 +346,23 @@ REGISTRY: dict[str, Builtin] = {
 }
 
 
-def build_builtin(name: str, **overrides) -> object:
+def builtin_defaults(name: str) -> dict:
+    """The parameters builtin `name` takes, with their default values."""
     try:
-        builtin = REGISTRY[name]
+        return REGISTRY[name].defaults
     except KeyError:
         raise ValidationError(f"unknown builtin {name!r}; see list-instances") from None
-    params = dict(builtin.defaults)
+
+
+def build_builtin(name: str, **overrides) -> object:
+    params = dict(builtin_defaults(name))
     for key, value in overrides.items():
         if value is None:
             continue
         if key not in params:
             raise ValidationError(f"builtin {name!r} does not take parameter {key!r}")
         params[key] = value
-    return builtin.build(**params)
+    return REGISTRY[name].build(**params)
 
 
 # ---------------------------------------------------------------------------

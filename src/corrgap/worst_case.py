@@ -290,7 +290,8 @@ def worst_case_lp(inst: Instance) -> WorstCaseResult:
     basis, x_b, y, stats = _simplex_max(scaled, inst.marginals)
     dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
     value = float(values[basis] @ x_b)
-    duals = (y * scale).tolist()
+    with np.errstate(over="ignore"):  # a dual past float64 reads inf; reports refuse it
+        duals = (y * scale).tolist()
     return WorstCaseResult(value, dist, duals[n], tuple(duals[:n]), stats)
 
 
@@ -322,12 +323,15 @@ def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
     return WorstCaseResult(float(value), dist, float(f_empty), tuple(lam))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_certificate(inst: Instance, result: WorstCaseResult) -> bool:
     """Primal feasibility, dual feasibility over all 2^n scenarios, and
     primal-dual objective equality. The two probability checks are within
     CERT_TOL; the expectation, dual and objective checks, in the units of f,
     are within CERT_TOL * f.scale. A result whose distribution or lambda is
-    for another ground set is refused."""
+    for another ground set is refused. A subset sum of lambda past float64
+    reads +-inf, on the same side of every f(S) as the true sum, so it goes
+    unwarned; an inf dual always fails the objective check."""
     if result.distribution.n != inst.n or len(result.dual_lambda) != inst.n:
         raise ValidationError("certificate and instance ground sets differ")
     p = np.asarray(inst.marginals)

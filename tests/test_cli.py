@@ -965,3 +965,96 @@ class TestSolverStall:
         code, out, err = run_cli(capsys, *argv)
         assert code == 4 and out == ""
         assert err == "solver: singular basis: invalid arithmetic in the simplex\n"
+
+
+class TestOneEmission:
+    """Every command returns its report; `main` writes it once and picks the
+    exit code from it."""
+
+    def test_report_that_did_not_pass_exits_1_after_printing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verification_report", lambda scale: {"passed": False, "failed": 1})
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"failed": 1, "passed": False}
+
+    def test_unknown_builtin_exits_2_with_the_instances_message(self, capsys):
+        code, out, err = run_cli(capsys, "gap", "--builtin", "nope")
+        assert code == 2 and out == ""
+        assert err == "error: unknown builtin 'nope'; see list-instances\n"
+
+    def test_welfare_k_overrides_the_players_of_a_file(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(instances.welfare_gap_case().to_json()))
+        data = run_json(capsys, "welfare", "--instance", str(path), "--k", "5")
+        assert data == run_json(capsys, "welfare", "--builtin", "integrality_gap", "--k", "5")
+        assert data["opt_ip"] == pytest.approx(12.0, abs=1e-9)
+
+    def test_welfare_on_a_decision_space_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "welfare", "--builtin", "example1", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: this command needs a single instance, not a decision space\n"
+
+
+M = sys.float_info.max
+
+
+class TestNonFiniteReports:
+    """A report that would hold an inf or NaN exits 2 with one `error:` line
+    and nothing on stdout, in JSON and CSV, and no RuntimeWarning is raised
+    on the way."""
+
+    def refused(self, capsys, tmp_path, payload, *argv):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: the report holds an inf or NaN, which JSON cannot carry\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_worst_case_dual_past_float64(self, capsys, tmp_path, fmt):
+        # lambda = 2 * max|f| overflows when the scaled dual is scaled back
+        payload = {"function": {"type": "explicit", "values": [-M, M]}, "marginals": [0.5]}
+        self.refused(capsys, tmp_path, payload, "worst-case", "--format", fmt)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_robust_ratio_past_float64(self, capsys, tmp_path, fmt):
+        # g(x_I) = 1e100 over g(x_R) = 1e-300
+        space = {
+            "marginals": [1e-200, 1e-200],
+            "decisions": [
+                {"label": "A", "function": {"type": "explicit", "values": [0, 0, 0, 1e300]}},
+                {"label": "B", "function": {"type": "explicit", "values": [1e-300] * 4}},
+            ],
+        }
+        self.refused(capsys, tmp_path, space, "robust", "--format", fmt)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gap_bound_past_float64_exits_2_before_the_lp(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the LP ran before the bound was checked")
+
+        monkeypatch.setattr(gap, "worst_case_lp", no_solve)
+        argv = ["gap", "--builtin", "example2", "--k", "2", "--eta", "1e308", "--beta", "1e308"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: eta * beta * e/(e-1) overflows float64: eta=1e+308, beta=1e+308\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_certificate_scan_past_float64_still_certifies(self, capsys, tmp_path):
+        # lambda = (M, M): lambda({0, 1}) overflows in the scan, which reads it as inf
+        payload = {"function": {"type": "explicit", "values": [0, M, M, M / 2]}, "marginals": [0.3, 0.6]}
+        data = run_strict_json(capsys, tmp_path, payload, "worst-case")
+        assert data["lambda"] == [M, M] and data["certified"] is True
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a float tolerance at scale 2^1023 cannot see a dual "
+        "violation of 2; the certificate as an enclosure of L mends it",
+    )
+    def test_duals_infeasible_by_2_at_1e308_are_not_certified(self, capsys, tmp_path):
+        # gamma = 1e308, lambda = (-1e308, 0): f({0, 1}) - lambda({0, 1}) - gamma = 2
+        payload = {"function": {"type": "explicit", "values": [0, 1, 1e308, 2]}, "marginals": [0.5, 0.5]}
+        data = run_strict_json(capsys, tmp_path, payload, "worst-case")
+        assert data["certified"] is False

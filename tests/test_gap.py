@@ -100,6 +100,13 @@ class TestBound:
         with pytest.raises(ValidationError):
             theoretical_bound(eta, beta)
 
+    def test_bound_past_float64_rejected(self):
+        with pytest.raises(ValidationError, match=r"^eta \* beta \* e/\(e-1\) overflows float64"):
+            theoretical_bound(1e308, 1e308)
+        # an eta just short of the overflow still has a bound
+        eta = 1.7e308 / GAP_BOUND_CONSTANT
+        assert math.isfinite(theoretical_bound(eta, 1.0))
+
     def test_bound_attached_to_report(self):
         report = correlation_gap(threshold_instance(3), eta=1.0, beta=1.0)
         assert report.bound == pytest.approx(GAP_BOUND_CONSTANT, abs=1e-12)

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports (`__init__.py` is
 left out: its imports are the package's exports), no function of the
-checking modules takes a tolerance or pivot cap per call, and only `core`
-computes a unit scale."""
+checking modules takes a tolerance or pivot cap per call, only `core`
+computes a unit scale, and the command line writes its reports at one
+point."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,38 @@ def test_no_unit_scale_outside_core(path):
 def test_check_sees_a_unit_scale_call():
     tree = ast.parse("a = unit_scale(v)\nb = core.unit_scale(v)\nc = f.scale\nunit_scale = 1\n")
     assert unit_scale_calls(tree) == 2
+
+
+# Each command returns its report and `main` alone writes it, through
+# `_emit`, so every report passes one check before it leaves the program.
+# `list-instances` writes text of its own.
+EMITTERS = {"_emit", "sys.stdout.write"}
+
+
+def emitting_calls(tree: ast.Module) -> list[tuple[str, str]]:
+    """(top-level function, callee) for each call of `_emit` or
+    `sys.stdout.write`, nested functions included."""
+    return [
+        (fn.name, callee)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and (callee := ast.unparse(node.func)) in EMITTERS
+    ]
+
+
+def test_one_emission_point():
+    path = Path(corrgap.__file__).parent / "cli.py"
+    calls = emitting_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert [c for c in calls if c[1] == "_emit"] == [("main", "_emit")]
+    handlers = [c for c in calls if c[0].startswith("_cmd_") and c[0] != "_cmd_list_instances"]
+    assert handlers == [], f"command handlers that write their own output: {handlers}"
+
+
+def test_check_sees_a_handler_that_emits():
+    tree = ast.parse(
+        "def _cmd_a(args):\n    _emit({}, args)\n"
+        "def _cmd_b(args):\n    def inner():\n        sys.stdout.write('x')\n"
+        "def main():\n    _emit(payload, args)\n"
+    )
+    assert emitting_calls(tree) == [("_cmd_a", "_emit"), ("_cmd_b", "sys.stdout.write"), ("main", "_emit")]

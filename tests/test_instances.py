@@ -18,7 +18,9 @@ from corrgap.gap import correlation_gap
 from corrgap.instances import (
     MAX_SCALE,
     REGISTRY,
+    WelfareCase,
     build_builtin,
+    builtin_defaults,
     coverage_partition_instance,
     coverage_two_stage_space,
     max_binomial_expectation,
@@ -52,9 +54,14 @@ class TestRegistry:
             else:
                 assert correlation_gap(built).worst_value >= 0
 
-    def test_unknown_builtin(self):
-        with pytest.raises(ValidationError):
-            build_builtin("nope")
+    @pytest.mark.parametrize("lookup", [build_builtin, builtin_defaults])
+    def test_unknown_builtin(self, lookup):
+        with pytest.raises(ValidationError, match=r"^unknown builtin 'nope'; see list-instances$"):
+            lookup("nope")
+
+    def test_defaults_are_the_registry_entry(self):
+        assert builtin_defaults("coverage_random") == {"seed": 1, "n": 6}
+        assert builtin_defaults("integrality_gap") == {}
 
     def test_unknown_parameter(self):
         with pytest.raises(ValidationError):
@@ -246,6 +253,24 @@ class TestFamilies:
         case = welfare_gap_case()
         inst = case.instance()
         assert inst.marginals == (pytest.approx(1 / 3),) * 6
+
+    def test_welfare_case_json_round_trip(self):
+        case = welfare_gap_case()
+        back = WelfareCase.from_json(json.loads(json.dumps(case.to_json())))
+        assert back.players == 3
+        assert np.array_equal(back.function.values(), case.function.values())
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"function": {"type": "explicit", "values": [0, 1]}}, "players must be an integer >= 1, got None"),
+            ({"function": {"type": "explicit", "values": [0, 1]}, "players": 2.0}, "got 2.0"),
+            ({"players": 2}, "welfare JSON missing field: 'function'"),
+        ],
+    )
+    def test_welfare_case_from_bad_json(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            WelfareCase.from_json(data)
 
 
 class TestReproductionSuite:
