@@ -81,10 +81,6 @@ def elements_of(mask: int) -> list[int]:
     return out
 
 
-def popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-
-
 def block_max_counts(masks: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
     """max over blocks of |mask & block| for each mask, as uint8: one uint64
     temporary per block and no int64 count arrays."""
@@ -254,7 +250,7 @@ class TwoStageFlow(SetFunction):
         self.penalty = float(2**n)
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
-        sizes = popcounts(masks.astype(np.uint64))
+        sizes = np.bitwise_count(masks).astype(np.int64)  # signed, for sizes - x
         return self.build_cost + self.penalty * np.maximum(sizes - self.x, 0)
 
     def to_json(self) -> dict:

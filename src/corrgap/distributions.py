@@ -25,7 +25,7 @@ from .core import (
 )
 from .rng import counter_uniforms
 
-NEG_PROB_EPS = 1e-12   # clamp floor for simplex output hygiene
+NEG_PROB_EPS = 1e-12   # rounding floor for library callers; the simplex clamps its own x_b
 DROP_EPS = 1e-12       # support entries below this are dropped after clamping
 SUM_TOL = 1e-9
 

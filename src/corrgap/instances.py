@@ -27,7 +27,6 @@ from .core import (
     is_monotone,
     is_submodular,
     is_supermodular,
-    popcounts,
     subset_sums,
 )
 from .cost_sharing import certify, incremental_scheme, lift_scheme, partial_prefix_cross_monotone
@@ -36,7 +35,7 @@ from .gap import GAP_BOUND_CONSTANT, correlation_gap
 from .rng import SplitMix64
 from .robust import Decision, DecisionSpace, approximation_ratio, evaluate_g
 from .split import split_instance, verify_split_properties
-from .welfare import welfare_report
+from .welfare import as_players, welfare_report
 from .worst_case import supermodular_worst_case, verify_certificate, worst_case_lp
 
 
@@ -121,6 +120,9 @@ class WelfareCase:
     function: SetFunction
     players: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "players", as_players(self.players))
+
     def instance(self) -> Instance:
         return Instance(self.function, [1.0 / self.players] * self.function.n)
 
@@ -129,11 +131,8 @@ class WelfareCase:
 
     @classmethod
     def from_json(cls, data: dict) -> "WelfareCase":
-        players = data.get("players")
-        if type(players) is not int or players < 1:
-            raise ValidationError(f"welfare JSON players must be an integer >= 1, got {players!r}")
         try:
-            return cls(function_from_json(data["function"]), players)
+            return cls(function_from_json(data["function"]), data.get("players"))
         except KeyError as exc:
             raise ValidationError(f"welfare JSON missing field: {exc}") from None
 
@@ -234,7 +233,7 @@ def random_supermodular_instance(seed: int, n: int) -> Instance:
     weights = [rng.uniform(0.0, 2.0) for _ in range(n)]
     marginals = [rng.random() for _ in range(n)]
 
-    sizes = popcounts(np.arange(1 << n, dtype=np.uint64))
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     table = np.asarray(g)[sizes] + subset_sums(weights)
     return Instance(TableFunction(table), marginals)
 
@@ -576,13 +575,6 @@ _BATTERY_SEED = 20260809
 MAX_SCALE = 50  # each unit of scale adds ~30 ms of trials: ~1.5 s for the whole suite at 50
 
 
-def _check_scale(scale: int) -> None:
-    if scale < 1:
-        raise ValidationError(f"scale must be >= 1, got {scale}")
-    if scale > MAX_SCALE:
-        raise SizeCapError(f"scale {scale} exceeds cap {MAX_SCALE}")
-
-
 def _battery(name: str, trials: int, run_one: Callable[[int], bool]) -> FactResult:
     passed = sum(1 for t in range(trials) if run_one(t))
     return _fact(f"battery.{name}", trials, passed, 0.0)
@@ -591,7 +583,10 @@ def _battery(name: str, trials: int, run_one: Callable[[int], bool]) -> FactResu
 def property_facts(scale: int = 1) -> list[FactResult]:
     """Seeded random-instance batteries; `scale` (1..MAX_SCALE) multiplies
     the trial counts."""
-    _check_scale(scale)
+    if scale < 1:
+        raise ValidationError(f"scale must be >= 1, got {scale}")
+    if scale > MAX_SCALE:
+        raise SizeCapError(f"scale {scale} exceeds cap {MAX_SCALE}")
 
     def coverage_bound(t: int) -> bool:
         n = 3 + (t % 5)
@@ -647,8 +642,8 @@ def property_facts(scale: int = 1) -> list[FactResult]:
 
 def verification_report(scale: int = 1) -> dict:
     """The full reproduction suite as a JSON-ready report."""
-    _check_scale(scale)
-    facts = reproduction_facts() + property_facts(scale)
+    batteries = property_facts(scale)  # first: its scale check precedes any work
+    facts = reproduction_facts() + batteries
     failed = [fact.name for fact in facts if not fact.passed]
     return {
         "facts": [fact.to_json() for fact in facts],

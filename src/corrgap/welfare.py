@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 from .core import Instance, SetFunction, SizeCapError, ValidationError
 from .distributions import independent_expectation_exact
@@ -16,11 +17,20 @@ from .worst_case import worst_case_lp
 DP_STEP_CAP = 3**14  # cap on the (k-1) * 3^n steps of the subset DP
 
 
+def as_players(k) -> int:
+    """The one player-count rule: an int or numpy integer >= 1, read as an int.
+    Bools and floats are refused, although range and 1 / k would read them."""
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValidationError(f"players must be an integer >= 1, got {k!r}")
+    if k < 1:
+        raise ValidationError(f"need at least one player, got players={k}")
+    return int(k)
+
+
 def welfare_ip_optimum(f: SetFunction, k: int) -> float:
     """Maximum of sum_j f(block_j) over assignments of every good to exactly
     one of k players (blocks may be empty). Exhaustive via subset DP."""
-    if k < 1:
-        raise ValidationError("need at least one player")
+    k = as_players(k)
     if (k - 1) * 3**f.n > DP_STEP_CAP:
         raise SizeCapError(f"({k}-1) * 3^{f.n} subset-DP steps exceed cap 3^14")
     # Python floats: the same additions and max as float64, without the
@@ -43,8 +53,7 @@ def welfare_ip_optimum(f: SetFunction, k: int) -> float:
 def welfare_upper_bound(f: SetFunction, k: int) -> float:
     """k times the worst-case expectation at uniform marginals 1/k; an upper
     bound on the optimal welfare."""
-    if k < 1:
-        raise ValidationError("need at least one player")
+    k = as_players(k)
     inst = Instance(f, [1.0 / k] * f.n)
     return k * worst_case_lp(inst).value
 
@@ -53,8 +62,7 @@ def rounding_value(f: SetFunction, k: int) -> float:
     """Exact expected welfare of assigning goods independently uniformly at
     random: each player's bundle is product-Bernoulli(1/k), so the total is
     k * E[f(S)] at marginals 1/k."""
-    if k < 1:
-        raise ValidationError("need at least one player")
+    k = as_players(k)
     return k * independent_expectation_exact(f, [1.0 / k] * f.n)
 
 

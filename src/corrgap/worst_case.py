@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import MAX_EXACT, Instance, ValidationError, doubling_halves, subset_sums
+from .core import Instance, ValidationError, doubling_halves, subset_sums
 from .distributions import ScenarioDistribution
 
 LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / f.scale
@@ -137,13 +137,14 @@ def start_inverse(order: list[int]) -> np.ndarray:
     return _staircase_inverse(n).take(position, axis=1)
 
 
-_SHIFTS = np.arange(MAX_EXACT)[:, None]  # bit i of a mask is mask >> _SHIFTS[i] & 1
-_BYTE_BITS = (np.arange(256)[:, None] >> _SHIFTS[:8, 0] & 1).astype(float)  # [v, i]: bit i of v
+def _mask_bits(masks, shifts: np.ndarray) -> np.ndarray:
+    """Bit i of each mask for each i in shifts: a column above its trailing 1."""
+    return masks >> shifts & 1
 
 
 def _basis_matrix(basis: list[int], n: int) -> np.ndarray:
     cols = np.ones((n + 1, len(basis)))
-    cols[:n] = np.array(basis) >> _SHIFTS[:n] & 1
+    cols[:n] = _mask_bits(np.array(basis), np.arange(n)[:, None])
     return cols
 
 
@@ -172,7 +173,7 @@ def _simplex_max(values: np.ndarray, p):
     and once more before optimality is accepted if pivots were taken since.
 
     The basis, the basic solution x_b and the ratio test live in Python
-    lists of at most 17 entries; the basis inverse, the pricing buffer and
+    lists of n + 1 entries; the basis inverse, the pricing buffer and
     the two matrix-vector products per pivot stay in numpy."""
     n = len(p)
     tol = LP_TOL
@@ -180,11 +181,8 @@ def _simplex_max(values: np.ndarray, p):
     b = np.array([*p, 1.0])
     reduced = np.empty(1 << n)
     halves = doubling_halves(reduced, n)
-    # The entering column: bits 0-7 of its mask from the byte table, then
-    # bits 8-15 (an empty slice below n = 9), then the trailing 1.
-    column = np.ones(n + 1)
-    low, high = column[: min(n, 8)], column[8:n]
-    low_bits, high_bits = _BYTE_BITS[:, : len(low)], _BYTE_BITS[:, : len(high)]
+    column = np.ones(n + 1)  # the entering column: its mask's bits, then 1
+    shifts = np.arange(n)
 
     # The nested prefix sets of the p-descending order plus the empty set form
     # a (possibly degenerate) feasible basis for any marginals, so no phase 1.
@@ -237,8 +235,7 @@ def _simplex_max(values: np.ndarray, p):
                 refactor()
                 continue  # confirm optimality against a fresh factorisation
             break
-        low[:] = low_bits[entering & 255]
-        high[:] = high_bits[entering >> 8]
+        column[:n] = _mask_bits(entering, shifts)
         d = binv @ column
         dl = d.tolist()
         ratios = {i: x / di for i, (x, di) in enumerate(zip(x_b, dl)) if di > tol}

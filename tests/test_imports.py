@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports (`__init__.py` is
 left out: its imports are the package's exports), no function of the
 checking modules takes a tolerance or pivot cap per call, only `core`
-computes a unit scale, and the command line writes its reports at one
-point."""
+computes a unit scale, only `core` names the size cap `MAX_EXACT`, and
+the command line writes its reports at one point."""
 
 import ast
 from pathlib import Path
@@ -89,6 +89,34 @@ def test_no_unit_scale_outside_core(path):
 def test_check_sees_a_unit_scale_call():
     tree = ast.parse("a = unit_scale(v)\nb = core.unit_scale(v)\nc = f.scale\nunit_scale = 1\n")
     assert unit_scale_calls(tree) == 2
+
+
+# The ground-set size cap is core's: every set function is capped where it
+# is built, so no engine restates MAX_EXACT, by name, attribute or import.
+def size_cap_mentions(tree: ast.Module) -> int:
+    return sum(
+        (isinstance(node, ast.Name) and node.id == "MAX_EXACT")
+        or (isinstance(node, ast.Attribute) and node.attr == "MAX_EXACT")
+        or (isinstance(node, ast.alias) and node.name == "MAX_EXACT")
+        for node in ast.walk(tree)
+    )
+
+
+NOT_CORE = sorted(p for p in Path(corrgap.__file__).parent.glob("*.py") if p.name != "core.py")
+
+
+@pytest.mark.parametrize("path", NOT_CORE, ids=lambda p: p.name)
+def test_no_size_cap_outside_core(path):
+    mentions = size_cap_mentions(ast.parse(path.read_text(encoding="utf-8")))
+    assert mentions == 0, f"{path.name} names MAX_EXACT ({mentions} times); core alone sizes tables"
+
+
+def test_check_sees_a_size_cap_mention():
+    tree = ast.parse(
+        "from .core import MAX_EXACT as cap\nimport corrgap.core as c\n"
+        "a = np.arange(MAX_EXACT)\nb = c.MAX_EXACT\nMAX = 16\n"
+    )
+    assert size_cap_mentions(tree) == 3
 
 
 # Each command returns its report and `main` alone writes it, through

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from corrgap.core import SizeCapError, TableFunction, ValidationError, is_monotone, is_submodular
-from corrgap.instances import random_coverage_function, welfare_gap_case
+from corrgap.instances import WelfareCase, random_coverage_function, welfare_gap_case
 from corrgap.welfare import (
     rounding_value,
     welfare_ip_optimum,
@@ -85,6 +85,38 @@ class TestExactOptimum:
         with pytest.raises(SizeCapError):
             welfare_ip_optimum(TableFunction([0.0] * (1 << 16)), 2)  # 3^16 steps
         assert welfare_ip_optimum(TableFunction([0.0] * (1 << 10)), 6) == 0.0  # 5 * 3^10
+
+
+class TestPlayerCount:
+    """One player-count rule for the welfare functions and WelfareCase: an
+    int or numpy integer >= 1."""
+
+    F = TableFunction([0.0, 1.0, 1.0, 2.0])
+
+    def test_welfare_case_refuses_zero_players_when_built(self):
+        # before instance() divides by the player count
+        with pytest.raises(ValidationError, match="at least one player"):
+            WelfareCase(self.F, 0)
+
+    def test_report_refuses_a_bool(self):
+        # True would run as one player
+        with pytest.raises(ValidationError, match="players must be an integer >= 1, got True"):
+            welfare_report(self.F, True)
+
+    @pytest.mark.parametrize(
+        "welfare", [welfare_report, welfare_ip_optimum, welfare_upper_bound, rounding_value]
+    )
+    def test_every_welfare_function_refuses_a_float(self, welfare):
+        # range(k - 1) would raise TypeError and 1 / k would give a number
+        with pytest.raises(ValidationError, match="players must be an integer >= 1, got 2.5"):
+            welfare(self.F, 2.5)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.uint8(3)], ids=repr)
+    def test_numpy_integers_read_as_ints(self, k):
+        # a uint8 count would overflow (k - 1) * 3^n at n = 6
+        f = welfare_gap_case().function
+        assert welfare_report(f, k) == welfare_report(f, 3)
+        assert type(WelfareCase(f, k).players) is int
 
 
 def numpy_scalar_dp(values, k):

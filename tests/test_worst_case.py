@@ -190,8 +190,8 @@ class TestWorstCaseLP:
             worst_case_lp(Instance(CoverageMax(n, [list(range(n))]), [0.5] * n))
 
     def test_solves_at_the_size_cap(self):
-        # the entering column is built from two bytes of its mask: a cap
-        # raised past 16 without widening it fails here
+        # the largest table core builds solves and certifies; the simplex
+        # itself has no size limit (see test_past_the_size_cap)
         n = MAX_EXACT
         rng = np.random.default_rng(n)
         inst = Instance(TableFunction(rng.random(1 << n)), rng.random(n))
@@ -565,6 +565,19 @@ class TestLeanSimplexMatchesReference:
         inst = Instance(TableFunction(table), (0.9, 0.5, 0.3))
         assert_same_solve(inst)
         assert 2 in dict(worst_case_lp(inst).distribution.support)
+
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    def test_past_the_size_cap(self, n):
+        # The simplex takes its size from its inputs alone; only core caps
+        # a table at MAX_EXACT, so larger seeded tables solve here directly.
+        rng = np.random.default_rng(n)
+        values, p = rng.random(1 << n), rng.random(n)
+        basis, x_b, y, stats = reference_simplex_max(values, p)
+        lean_basis, lean_x, lean_y, lean_stats = wc._simplex_max(values, p)
+        assert lean_basis == basis
+        assert lean_x.tobytes() == x_b.tobytes()
+        assert lean_y.tobytes() == y.tobytes()
+        assert lean_stats == stats and stats.pivots > 0
 
     def test_small_constants_reach_bland_and_refactors(self, monkeypatch):
         monkeypatch.setattr(wc, "_BLAND_AFTER", 1)
