@@ -116,20 +116,26 @@ def _load_json_file(path: str) -> dict:
 def _load_source(args) -> object:
     if bool(args.instance) == bool(args.builtin):
         raise ValidationError("exactly one of --instance or --builtin is required")
-    params = builtin_defaults(args.builtin) if args.builtin else {}
-    for key in ("n", "k", "seed"):
-        if getattr(args, key, None) is None or key in params:
-            continue
-        if key == "k" and args.command == "welfare":
-            continue  # --k is the player count
-        if key == "seed" and args.command == "gap" and args.samples is not None:
-            continue  # --seed is the Monte Carlo seed
-        source = f"builtin {args.builtin!r}" if args.builtin else "an --instance file"
-        raise ValidationError(
-            f"{source} does not take parameter {key!r}, and {args.command} does not read --{key}"
-        )
+    given = {key: getattr(args, key, None) for key in ("n", "k", "seed")}
+    # The command's own uses: --k is welfare's player count and --seed the
+    # Monte Carlo seed of gap --samples. A source reads them only if it has
+    # such a parameter; build_builtin refuses every other flag it is handed.
+    own = set()
+    if args.command == "welfare":
+        own.add("k")
+    if args.command == "gap" and getattr(args, "samples", None) is not None:
+        own.add("seed")
     if args.builtin:
-        return build_builtin(args.builtin, **{key: getattr(args, key, None) for key in params})
+        params = builtin_defaults(args.builtin)
+        return build_builtin(
+            args.builtin, **{k: v for k, v in given.items() if k in params or k not in own}
+        )
+    for key, value in given.items():
+        if value is not None and key not in own:
+            raise ValidationError(
+                f"an --instance file does not take parameter {key!r}, "
+                f"and {args.command} does not read --{key}"
+            )
     data = _load_json_file(args.instance)
     if not isinstance(data, dict):
         raise ValidationError("instance JSON must be an object")

@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
-from .core import Instance, SetFunction, SizeCapError, ValidationError
+from .core import Instance, SetFunction, SizeCapError, ValidationError, as_int
 from .distributions import independent_expectation_exact
 from .gap import safe_ratio
 from .worst_case import worst_case_lp
@@ -18,13 +17,12 @@ DP_STEP_CAP = 3**14  # cap on the (k-1) * 3^n steps of the subset DP
 
 
 def as_players(k) -> int:
-    """The one player-count rule: an int or numpy integer >= 1, read as an int.
-    Bools and floats are refused, although range and 1 / k would read them."""
-    if isinstance(k, bool) or not isinstance(k, Integral):
-        raise ValidationError(f"players must be an integer >= 1, got {k!r}")
+    """The one player-count rule: core.as_int's integer (bools and floats
+    refused, although range and 1 / k would read them), at least 1."""
+    k = as_int(k, "players")
     if k < 1:
         raise ValidationError(f"need at least one player, got players={k}")
-    return int(k)
+    return k
 
 
 def welfare_ip_optimum(f: SetFunction, k: int) -> float:

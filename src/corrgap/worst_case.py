@@ -15,8 +15,14 @@ constraint matrix is never stored: pricing computes every f(S) - lambda(S)
 at once from the subset sums lambda(S) of the current duals
 (core.subset_sums, O(2^n) time), takes its argmax, and subtracts gamma from
 the winner alone whenever rounding cannot tie another entry to it; the
-entering column is rebuilt from the bits of its mask. Memory is one 2^n
-buffer beyond the table of f, and the certificate scan prices the same way.
+entering column is rebuilt from the bits of its mask. From n = 15 on, a
+float32 pass over a float32 copy of the table first proposes the entering
+column, and it enters only if its float64 reduced cost, computed alone,
+is improving; otherwise the pivot takes the float64 pass. Those passes are
+bound by memory traffic, so float32 halves their cost, while optimality,
+Bland's rule, the ratio test and the final solves stay in float64. Memory
+is one 2^n buffer beyond the table of f (three with the float32 pair), and
+the certificate scan prices the same way, in float64 alone.
 
 Results do not depend on the units of f. The simplex runs on f / 2^e, where
 2^e = f.scale brings max|f| into [0.5, 1), so its tolerances compare
@@ -42,6 +48,16 @@ CERT_TOL = 1e-6
 _BLAND_AFTER = 25      # consecutive degenerate pivots before switching pricing
 _REFACTOR_EVERY = 100
 _PIVOTS_PER_COLUMN = 50  # a solve stalls after this many pivots per column, 2^n of them
+# Dantzig pricing is screened in float32 from this n on. Screened over
+# float64-only solve time, in process on uniform tables at marginals 1/n,
+# medians over 6 seeds of each seed's best of 5 to 15 alternating rounds,
+# four series on a 2-vCPU VM: 1.07-1.10 at n = 12, 1.00-1.04 at 13,
+# 0.95-0.99 at 14, 0.86-0.99 at 15, 0.80-0.82 at 16.
+# Below 14 a pass costs its call overhead rather than its bytes, so float32
+# saves nothing; n = 14 gains at most 5%, too little to give up solves that
+# are the float64 solve bit for bit (the screen moves the pivot path of
+# tie-heavy tables).
+_SCREEN_FROM_N = 15
 
 
 class SimplexStallError(RuntimeError):
@@ -148,6 +164,11 @@ def _basis_matrix(basis: list[int], n: int) -> np.ndarray:
     return cols
 
 
+def _screen_table(values: np.ndarray) -> np.ndarray:
+    """The float32 copy of the (scaled) table that screened pricing reads."""
+    return values.astype(np.float32)
+
+
 def _invalid_arithmetic(err: str, flag: int):
     raise SimplexStallError("singular basis: invalid arithmetic in the simplex")
 
@@ -172,6 +193,14 @@ def _simplex_max(values: np.ndarray, p):
     the solve. The basis inverse is refactored every _REFACTOR_EVERY pivots,
     and once more before optimality is accepted if pivots were taken since.
 
+    From n = _SCREEN_FROM_N on, a Dantzig pivot is first priced in float32
+    on a float32 copy of the table: its argmax e enters if e's float64
+    reduced cost (f(e) - lambda(e)) - y_n exceeds tol, lambda(e) summed in
+    ascending bit order from 0.0 as the doubling sums it, so that cost is
+    the float64 pass's entry for e bit for bit. Otherwise the pivot takes
+    the float64 pass. Optimality, Bland's rule, the ratio test and the final
+    solves never read a float32 number.
+
     The basis, the basic solution x_b and the ratio test live in Python
     lists of n + 1 entries; the basis inverse, the pricing buffer and
     the two matrix-vector products per pivot stay in numpy."""
@@ -183,6 +212,16 @@ def _simplex_max(values: np.ndarray, p):
     halves = doubling_halves(reduced, n)
     column = np.ones(n + 1)  # the entering column: its mask's bits, then 1
     shifts = np.arange(n)
+    screen = n >= _SCREEN_FROM_N
+    if screen:
+        # |f| < 1 and a 0/1 basis of order n + 1 has inverse entries below
+        # the Hadamard bound (about 4.4e5 at n = 16), so |y| and every
+        # float32 subset sum stay far below float32's 3.4e38: no overflow
+        # guard. A NaN here raises SimplexStallError through this solve's
+        # error state, as one in the float64 pass does.
+        single = _screen_table(values)
+        reduced32 = np.empty(1 << n, np.float32)
+        halves32 = doubling_halves(reduced32, n)
 
     # The nested prefix sets of the p-descending order plus the empty set form
     # a (possibly degenerate) feasible basis for any marginals, so no phase 1.
@@ -211,25 +250,38 @@ def _simplex_max(values: np.ndarray, p):
             raise SimplexStallError(f"no optimum within {max_iter} pivots")
         y = (c_b @ binv).tolist()
         y_n = y[n]
-        # reduced[S] = f(S) - sum_{i in S} y_i, in the one 2^n buffer
-        subset_sums(y[:n], reduced, halves)
-        np.subtract(values, reduced, out=reduced)
-        # Rounding is monotone, so the first argmax of f - lambda is the
-        # first argmax of f - lambda - y_n unless a smaller entry rounds onto
-        # the top once y_n is taken off; the next float below the top is the
-        # one that would. Then y_n comes off the winner alone. NaN and inf
-        # fail the test and take the full pass, as Bland's rule always does.
-        entering = int(reduced.argmax())
-        top = reduced.item(entering)
-        if bland_at is None and math.nextafter(top, -math.inf) - y_n < top - y_n:
-            best = top - y_n
-        else:
-            reduced -= y_n
-            if bland_at is None:
-                entering = int(reduced.argmax())
+        best = -math.inf
+        if screen and bland_at is None:
+            # float32 proposes the entering column, float64 decides
+            subset_sums(y[:n], reduced32, halves32)
+            np.subtract(single, reduced32, out=reduced32)
+            entering = int(reduced32.argmax())
+            lam = 0.0
+            for i in range(n):
+                if entering >> i & 1:
+                    lam += y[i]
+            best = values.item(entering) - lam - y_n
+        if not best > tol:
+            # reduced[S] = f(S) - sum_{i in S} y_i, in the one 2^n buffer
+            subset_sums(y[:n], reduced, halves)
+            np.subtract(values, reduced, out=reduced)
+            # Rounding is monotone, so the first argmax of f - lambda is the
+            # first argmax of f - lambda - y_n unless a smaller entry rounds
+            # onto the top once y_n is taken off; the next float below the
+            # top is the one that would. Then y_n comes off the winner alone.
+            # NaN and inf fail the test and take the full pass, as Bland's
+            # rule always does.
+            entering = int(reduced.argmax())
+            top = reduced.item(entering)
+            if bland_at is None and math.nextafter(top, -math.inf) - y_n < top - y_n:
+                best = top - y_n
             else:
-                entering = int((reduced > tol).argmax())  # lowest improving index
-            best = reduced.item(entering)
+                reduced -= y_n
+                if bland_at is None:
+                    entering = int(reduced.argmax())
+                else:
+                    entering = int((reduced > tol).argmax())  # lowest improving index
+                best = reduced.item(entering)
         if best <= tol:
             if since_refactor:
                 refactor()

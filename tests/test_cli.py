@@ -684,7 +684,8 @@ class TestDecisionLabels:
 class TestUnreadSourceFlags:
     """--n, --k and --seed are read by the builtin's parameters, by welfare
     (--k, the player count) or by gap --samples (--seed). Any other use of
-    them exits 2 instead of being ignored."""
+    them exits 2 instead of being ignored: build_builtin refuses a builtin's,
+    the command line an --instance file's."""
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -706,7 +707,10 @@ class TestUnreadSourceFlags:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"does not read {flag}" in err
+        if argv[1] == "--builtin":  # the library's message, build_builtin's
+            assert err == f"error: builtin {argv[2]!r} does not take parameter {flag[2:]!r}\n"
+        else:
+            assert f"does not read {flag}" in err
 
     def test_seed_of_samples_is_read_with_an_instance_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports (`__init__.py` is
 left out: its imports are the package's exports), no function of the
 checking modules takes a tolerance or pivot cap per call, only `core`
-computes a unit scale, only `core` names the size cap `MAX_EXACT`, and
-the command line writes its reports at one point."""
+computes a unit scale, only `core` names the size cap `MAX_EXACT`, only
+`worst_case` names single precision, and the command line writes its
+reports at one point."""
 
 import ast
 from pathlib import Path
@@ -117,6 +118,41 @@ def test_check_sees_a_size_cap_mention():
         "a = np.arange(MAX_EXACT)\nb = c.MAX_EXACT\nMAX = 16\n"
     )
     assert size_cap_mentions(tree) == 3
+
+
+# Single precision only proposes entering columns inside worst_case's
+# pricing, where float64 then decides; no float32 number may reach a report
+# or a certificate, so no other module names the type, by name, attribute
+# (np.float32, np.single) or dtype string.
+SINGLE_NAMES = {"float32", "single"}
+SINGLE_DTYPES = {"float32", "single", "f4", "<f4", ">f4", "=f4", "|f4"}
+
+
+def single_precision_mentions(tree: ast.Module) -> int:
+    return sum(
+        (isinstance(node, ast.Name) and node.id == "float32")
+        or (isinstance(node, ast.Attribute) and node.attr in SINGLE_NAMES)
+        or (isinstance(node, ast.alias) and node.name in SINGLE_NAMES)
+        or (isinstance(node, ast.Constant) and node.value in SINGLE_DTYPES)
+        for node in ast.walk(tree)
+    )
+
+
+NOT_WORST_CASE = sorted(p for p in Path(corrgap.__file__).parent.glob("*.py") if p.name != "worst_case.py")
+
+
+@pytest.mark.parametrize("path", NOT_WORST_CASE, ids=lambda p: p.name)
+def test_no_single_precision_outside_pricing(path):
+    mentions = single_precision_mentions(ast.parse(path.read_text(encoding="utf-8")))
+    assert mentions == 0, f"{path.name} names float32 ({mentions} times); only pricing may"
+
+
+def test_check_sees_single_precision():
+    tree = ast.parse(
+        "from numpy import float32\nimport numpy as np\na = np.float32(1)\nb = np.single\n"
+        "c = x.astype('f4')\nd = np.zeros(3, dtype=\"float32\")\nsingle = float32\ne = 'f8'\n"
+    )
+    assert single_precision_mentions(tree) == 6
 
 
 # Each command returns its report and `main` alone writes it, through

@@ -263,7 +263,7 @@ class TestFamilies:
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({"function": {"type": "explicit", "values": [0, 1]}}, "players must be an integer >= 1, got None"),
+            ({"function": {"type": "explicit", "values": [0, 1]}}, "players must be an integer, got None"),
             ({"function": {"type": "explicit", "values": [0, 1]}, "players": 2.0}, "got 2.0"),
             ({"players": 2}, "welfare JSON missing field: 'function'"),
         ],

@@ -100,7 +100,7 @@ class TestPlayerCount:
 
     def test_report_refuses_a_bool(self):
         # True would run as one player
-        with pytest.raises(ValidationError, match="players must be an integer >= 1, got True"):
+        with pytest.raises(ValidationError, match="players must be an integer, got True"):
             welfare_report(self.F, True)
 
     @pytest.mark.parametrize(
@@ -108,7 +108,7 @@ class TestPlayerCount:
     )
     def test_every_welfare_function_refuses_a_float(self, welfare):
         # range(k - 1) would raise TypeError and 1 / k would give a number
-        with pytest.raises(ValidationError, match="players must be an integer >= 1, got 2.5"):
+        with pytest.raises(ValidationError, match="players must be an integer, got 2.5"):
             welfare(self.F, 2.5)
 
     @pytest.mark.parametrize("k", [np.int64(3), np.uint8(3)], ids=repr)
