@@ -4,6 +4,7 @@ the independent distribution, cost-sharing certification, element splitting,
 and welfare-maximisation consequences, all on exactly solvable instances."""
 
 from .core import (
+    ClassCountFunction,
     CoverageMax,
     FacilityLocationCost,
     Instance,

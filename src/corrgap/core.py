@@ -6,6 +6,12 @@ i is in the subset; explicit tables are indexed by that mask value. Every set
 function is a read-only table of its 2^n values, so n is capped at MAX_EXACT
 when the function is built; the table is checked once, where it is built,
 and carries its unit scale.
+
+A set function may declare classes of interchangeable elements: f(S) then
+depends on S only through the count vector c(S), c_b = |S & class b|, and
+its values on the count grid (every count vector, one value each) stand for
+the whole table. Where the marginals are equal within every class too, the
+engines work on that grid and never build the table (see orbit_classes).
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ import numpy as np
 MAX_EXACT = 16         # every set function is a table of at most 2^16 values
 MAX_FACILITIES = 12    # facility-location evaluation brute-forces open subsets
 CHECK_TOL = 1e-9       # relative to unit_scale(f)
+# The orbit regime starts at n = 10. Every class-declaring scenario LP behind
+# the golden command outputs and `verify --all` has n <= 9, so those outputs
+# keep the 2^n simplex's bits; from n = 10 the count grid is the smaller LP.
+_ORBIT_FROM_N = 10
 
 
 class ValidationError(ValueError):
@@ -91,6 +101,32 @@ def block_max_counts(masks: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
     return best
 
 
+def _partition_masks(partition: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """The masks of a partition of {0..n-1} into nonempty blocks, in the
+    given order; a block that is empty, overlaps another or leaves an
+    element uncovered is refused."""
+    blocks = []
+    union = 0
+    for block in partition:
+        bm = mask_of(block, n)
+        if bm == 0:
+            raise ValidationError("partition blocks must be nonempty")
+        if bm & union:
+            raise ValidationError("partition blocks overlap")
+        union |= bm
+        blocks.append(bm)
+    if union != (1 << n) - 1:
+        raise ValidationError("partition does not cover the ground set")
+    return tuple(blocks)
+
+
+def count_vectors(sizes: Sequence[int]) -> np.ndarray:
+    """Every count vector c with 0 <= c_b <= sizes[b], one row each, in the
+    count grid's order: row-major over the classes, the last varying
+    fastest, so c sits at row sum_b c_b * prod_{b' > b} (sizes[b'] + 1)."""
+    return np.indices([s + 1 for s in sizes]).reshape(len(sizes), -1).T
+
+
 def doubling_halves(out: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The view pairs (out[:2^i], out[2^i : 2^(i+1)]) for i < n that
     subset_sums reads and writes. A caller that fills one buffer with many
@@ -128,51 +164,96 @@ def check_ground_size(n: int, what: str = "ground set size") -> None:
         raise SizeCapError(f"{what} {n} exceeds cap {MAX_EXACT}")
 
 
+def _checked(values) -> tuple[np.ndarray, float]:
+    """The one table rule, applied where a table or a count grid is built:
+    float64, every entry finite, and max|f| either 0 or at least 2^-1022 (a
+    subnormal f sits on a grid too coarse to certify). Returns the values,
+    now read-only, and their unit_scale."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValidationError("set-function values must be finite")
+    scale = unit_scale(values)
+    if scale <= 2.0**-1022:
+        raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
+    values.flags.writeable = False
+    return values, scale
+
+
 class SetFunction:
     """Deterministic oracle f: 2^{0..n-1} -> R, addressed by bitmask, for
     1 <= n <= MAX_EXACT.
 
     A subclass defines one evaluator, `values_at`; `values` caches it over
     every mask, and every engine and `value` read that table and `scale`.
-    Instances are immutable after construction apart from the value cache.
+    A subclass whose f depends only on class counts also sets `classes`;
+    `grid` then caches `values_at` over one mask per count vector, which
+    the engines read in place of the table in the orbit regime. Instances
+    are immutable after construction apart from these caches.
     """
+
+    # Masks of a partition of the ground set into classes of interchangeable
+    # elements (f depends on S only through |S & class| for each class), or
+    # None. A function that declares classes evaluates cheaply at few masks.
+    classes: tuple[int, ...] | None = None
 
     def __init__(self, n: int):
         check_ground_size(n)
         self.n = n
         self._table: np.ndarray | None = None
+        self._grid: np.ndarray | None = None
+        self._scale: float | None = None
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         """f at each mask of an integer array, as float64."""
         raise NotImplementedError
 
-    def _store(self, table) -> None:
-        """The one table rule, applied where a table is built: float64, every
-        entry finite, and max|f| either 0 or at least 2^-1022 (a subnormal
-        f sits on a grid too coarse to certify). The table is then kept
-        read-only beside its unit_scale."""
-        table = np.asarray(table, dtype=np.float64)
-        if not np.isfinite(table).all():
-            raise ValidationError("set-function values must be finite")
-        scale = unit_scale(table)
-        if scale <= 2.0**-1022:
-            raise ValidationError("f is subnormal: 0 < max|f| < 2^-1022, too fine to certify")
-        table.flags.writeable = False
-        self._table, self._scale = table, scale
-
     def values(self) -> np.ndarray:
         """All 2^n values, indexed by mask: built and checked on first use,
-        then cached read-only."""
+        then cached read-only. A table built after the grid repeats the
+        grid's values, so the grid's check stands for it."""
         if self._table is None:
-            self._store(self.values_at(np.arange(1 << self.n, dtype=np.uint64)))
+            table = self.values_at(np.arange(1 << self.n, dtype=np.uint64))
+            if self._scale is None:
+                self._table, self._scale = _checked(table)
+            else:
+                self._table = np.asarray(table, dtype=np.float64)
+                self._table.flags.writeable = False
         return self._table
+
+    def at(self, masks: Sequence[int]) -> np.ndarray:
+        """f at a few masks: gathered from the table, unless f declares
+        classes and its table is not built, when values_at evaluates them
+        alone."""
+        if self.classes is None or self._table is not None:
+            return self.values()[masks]
+        return self.values_at(np.array(masks, dtype=np.uint64))
+
+    def grid(self) -> np.ndarray:
+        """f on the count grid of `classes`, in count_vectors order: f at the
+        mask holding the lowest c_b elements of each class b, built and
+        checked on first use like the table, then cached read-only. It
+        holds every value of the table, so max|f| is attained on it."""
+        if self._grid is None:
+            reps = np.zeros(1, dtype=np.uint64)
+            for block in self.classes:
+                prefixes = [0]
+                for i in elements_of(block):
+                    prefixes.append(prefixes[-1] | 1 << i)
+                reps = (reps[:, None] | np.array(prefixes, dtype=np.uint64)).ravel()
+            self._grid, self._scale = _checked(self.values_at(reps))
+        return self._grid
 
     @property
     def scale(self) -> float:
-        """unit_scale(f), computed once with the table: the unit that every
-        check in the units of f multiplies its tolerance by."""
-        if self._table is None:
-            self.values()
+        """unit_scale(f), computed once with the grid or the table, whichever
+        is built first (the grid first when f declares classes at n >=
+        _ORBIT_FROM_N, the sizes where engines may read the grid alone): the
+        unit that every check in the units of f multiplies its tolerance by."""
+        if self._scale is None:
+            if self.classes is not None and self.n >= _ORBIT_FROM_N:
+                self.grid()
+            else:
+                self.values()
         return self._scale
 
     def value(self, mask: int) -> float:
@@ -194,7 +275,7 @@ class TableFunction(SetFunction):
         if n < 1 or size != 1 << n:
             raise ValidationError(f"explicit table length {size} is not 2^n for n >= 1")
         super().__init__(n)
-        self._store(arr)
+        self._table, self._scale = _checked(arr)
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
         return self._table[masks]
@@ -203,33 +284,50 @@ class TableFunction(SetFunction):
         return {"type": "explicit", "n": self.n, "values": [float(v) for v in self._table]}
 
 
+class ClassCountFunction(SetFunction):
+    """f given on the count grid of a partition of the ground set into
+    classes: f(S) = grid[c(S)] with c_b(S) = |S & class b|, the grid's
+    entries in count_vectors order (a flat list, or an array of shape
+    (n_1 + 1, ..., n_r + 1))."""
+
+    def __init__(self, n: int, classes: Sequence[Sequence[int]], grid):
+        super().__init__(n)
+        self.classes = _partition_masks(classes, n)
+        sizes = [block.bit_count() for block in self.classes]
+        values = as_real_array(grid, "count-grid entries").ravel()
+        if len(values) != (size := math.prod(s + 1 for s in sizes)):
+            raise ValidationError(f"count grid has {len(values)} entries, classes of sizes {sizes} need {size}")
+        self._grid, self._scale = _checked(values)
+        self._strides = [math.prod(s + 1 for s in sizes[b + 1 :]) for b in range(len(sizes))]
+
+    def values_at(self, masks: np.ndarray) -> np.ndarray:
+        """The grid gathered at each mask's count vector."""
+        masks = np.asarray(masks, dtype=np.uint64)
+        index = np.zeros(masks.shape, dtype=np.intp)
+        for block, stride in zip(self.classes, self._strides):
+            index += np.bitwise_count(masks & np.uint64(block)).astype(np.intp) * stride
+        return self._grid[index]
+
+    def to_json(self) -> dict:
+        return {"type": "explicit", "n": self.n, "values": [float(v) for v in self.values()]}
+
+
 class CoverageMax(SetFunction):
-    """f(S) = max_k |S intersect A_k| over a partition A_1..A_K of the ground set."""
+    """f(S) = max_k |S intersect A_k| over a partition A_1..A_K of the ground
+    set, whose blocks are its classes."""
 
     def __init__(self, n: int, partition: Sequence[Sequence[int]]):
         super().__init__(n)
-        blocks = []
-        union = 0
-        for block in partition:
-            bm = mask_of(block, n)
-            if bm == 0:
-                raise ValidationError("partition blocks must be nonempty")
-            if bm & union:
-                raise ValidationError("partition blocks overlap")
-            union |= bm
-            blocks.append(bm)
-        if union != (1 << n) - 1:
-            raise ValidationError("partition does not cover the ground set")
-        self.blocks = tuple(blocks)
+        self.classes = _partition_masks(partition, n)
 
     def values_at(self, masks: np.ndarray) -> np.ndarray:
-        return block_max_counts(masks, self.blocks).astype(np.float64)
+        return block_max_counts(masks, self.classes).astype(np.float64)
 
     def to_json(self) -> dict:
         return {
             "type": "coverage_max",
             "n": self.n,
-            "partition": [elements_of(bm) for bm in self.blocks],
+            "partition": [elements_of(bm) for bm in self.classes],
         }
 
 
@@ -238,11 +336,12 @@ class TwoStageFlow(SetFunction):
     2^n-per-unit penalty on demand exceeding the capacity.
 
     f(S) = c(x) + 2^n * max(|S| - x, 0), with c(x) = x for x <= n-1 and
-    c(n) = n + 2.
+    c(n) = n + 2. Its one class is the whole ground set.
     """
 
     def __init__(self, n: int, x: int):
         super().__init__(n)
+        self.classes = ((1 << n) - 1,)
         if not 0 <= x <= n:
             raise ValidationError(f"capacity x={x} outside 0..{n}")
         self.x = x
@@ -446,6 +545,23 @@ def as_marginals(marginals: Sequence[float], n: int) -> tuple[float, ...]:
         if not 0.0 <= x <= 1.0:
             raise ValidationError(f"marginal {x} outside [0, 1]")
     return p
+
+
+def orbit_classes(f: SetFunction, p: Sequence[float]) -> list[list[int]] | None:
+    """The elements of each of f's classes when (f, p) is in the orbit
+    regime, else None: the one entry check of the count-vector scenario LP,
+    certificate scan and independent leg. The regime holds when f declares
+    classes, the marginals p are equal within every class, n >=
+    _ORBIT_FROM_N, and the count grid prod(n_b + 1) is smaller than the
+    2^n table."""
+    if f.classes is None or f.n < _ORBIT_FROM_N:
+        return None
+    members = [elements_of(block) for block in f.classes]
+    if math.prod(len(m) + 1 for m in members) >= 1 << f.n:
+        return None
+    if any(p[i] != p[m[0]] for m in members for i in m):
+        return None
+    return members
 
 
 class Instance:

@@ -1,7 +1,8 @@
 """Finite scenario distributions over subsets, and expectations under the
 independent (product-Bernoulli) distribution: exact by enumeration of f's
-2^n table, or Monte Carlo with a seeded counter RNG that gathers its samples
-from the same table.
+2^n table (of its count grid, with binomial weights, in the orbit regime),
+or Monte Carlo with a seeded counter RNG that gathers its samples from the
+table.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     check_ground_size,
     doubling_halves,
     elements_of,
+    orbit_classes,
 )
 from .rng import counter_uniforms
 
@@ -72,9 +74,10 @@ class ScenarioDistribution:
         return np.array(p)
 
     def expectation(self, f: SetFunction) -> float:
+        """E[f(S)] over the support, f read at the support masks alone."""
         if f.n != self.n:
             raise ValidationError("distribution and function ground sets differ")
-        values = f.values()[[mask for mask, _ in self.support]].tolist()
+        values = f.at([mask for mask, _ in self.support]).tolist()
         return float(sum(prob * v for (_, prob), v in zip(self.support, values)))
 
     def to_json(self) -> dict:
@@ -104,8 +107,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
     """Pr(S) = prod_{i in S} p_i * prod_{i not in S} (1 - p_i) for every mask,
     by the doubling of core.subset_sums with multiply; each product takes its
-    factors in ascending bit order. p must be n marginals in [0, 1]."""
-    p = as_marginals(p, n)
+    factors in ascending bit order. p must be n marginals in [0, 1], as
+    core.as_marginals returns them."""
     weights = np.empty(1 << n)
     weights[0] = 1.0
     for pi, (low, high) in zip(p, doubling_halves(weights, n)):
@@ -114,9 +117,27 @@ def _product_weights(n: int, p: Sequence[float]) -> np.ndarray:
     return weights
 
 
+def _binomial_weights(sizes: Sequence[int], class_p: Sequence[float]) -> np.ndarray:
+    """Pr(c) = prod_b Binom(n_b, p_b)(c_b) for every count vector c of the
+    count grid, in core.count_vectors order: the product distribution
+    seen through class counts."""
+    weights = np.ones(1)
+    for size, q in zip(sizes, class_p):
+        pmf = [math.comb(size, c) * q**c * (1.0 - q) ** (size - c) for c in range(size + 1)]
+        weights = np.multiply.outer(weights, pmf).ravel()
+    return weights
+
+
 def independent_expectation_exact(f: SetFunction, p: Sequence[float]) -> float:
-    """E[f(S)] under independent inclusion, by full enumeration."""
-    return _dot(_product_weights(f.n, p), f.values())
+    """E[f(S)] under independent inclusion, by full enumeration: of the 2^n
+    masks, or in the orbit regime (core.orbit_classes) of the count grid
+    weighted by products of binomials."""
+    p = as_marginals(p, f.n)
+    members = orbit_classes(f, p)
+    if members is None:
+        return _dot(_product_weights(f.n, p), f.values())
+    weights = _binomial_weights([len(m) for m in members], [p[m[0]] for m in members])
+    return _dot(weights, f.grid())
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    ClassCountFunction,
     CoverageMax,
     FacilityLocationCost,
     Instance,
@@ -20,7 +21,6 @@ from .core import (
     TableFunction,
     TwoStageFlow,
     ValidationError,
-    block_max_counts,
     check_ground_size,
     elements_of,
     function_from_json,
@@ -86,27 +86,33 @@ def max_binomial_expectation(k: int) -> float:
 def coverage_two_stage_space(k: int) -> DecisionSpace:
     """Two-stage extension of the coverage partition family: decision m buys m
     disjoint transversals up front (covering the first m elements of every
-    block) at a per-set price calibrated to the independent expectation."""
+    block) at a per-set price calibrated to the independent expectation.
+
+    Decision m's cost, m * price plus the largest residual block hit count,
+    is class-symmetric: its classes are the k residual parts of the blocks
+    (k - m elements each) and one class of every bought element."""
     base = coverage_partition_instance(k)
     n = k * k
     price = 1.1 * max_binomial_expectation(k) / k
-    masks = np.arange(1 << n, dtype=np.uint64)
     decisions = []
     for m in range(k + 1):
-        residual_blocks = [
-            sum(1 << e for e in range(i * k + m, (i + 1) * k)) for i in range(k)
-        ]
-        table = m * price + block_max_counts(masks, residual_blocks).astype(np.float64)
-        decisions.append(Decision(str(m), TableFunction(table)))
+        residual = [list(range(i * k + m, (i + 1) * k)) for i in range(k)] if m < k else []
+        bought = [i * k + j for i in range(k) for j in range(m)]
+        hits = np.indices([k - m + 1] * len(residual)).max(axis=0) if residual else np.zeros(())
+        grid = m * price + hits.astype(np.float64)
+        grid = np.repeat(grid.reshape(-1, 1), len(bought) + 1, axis=1)  # f ignores the bought count
+        classes = residual + ([bought] if bought else [])
+        decisions.append(Decision(str(m), ClassCountFunction(n, classes, grid)))
     return DecisionSpace(base.marginals, decisions)
 
 
 def threshold_instance(n: int) -> Instance:
-    """f(S) = 1 for nonempty S, marginals 1/n: the gap tends to e/(e-1)."""
+    """f(S) = 1 for nonempty S, marginals 1/n: the gap tends to e/(e-1).
+    Its one class is the whole ground set."""
     check_ground_size(n)
-    table = np.ones(1 << n)
-    table[0] = 0.0
-    return Instance(TableFunction(table), [1.0 / n] * n)
+    grid = np.ones(n + 1)
+    grid[0] = 0.0
+    return Instance(ClassCountFunction(n, [range(n)], grid), [1.0 / n] * n)
 
 
 def threshold_kappa_closed_form(n: int) -> float:

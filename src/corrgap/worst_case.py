@@ -24,6 +24,11 @@ Bland's rule, the ratio test and the final solves stay in float64. Memory
 is one 2^n buffer beyond the table of f (three with the float32 pair), and
 the certificate scan prices the same way, in float64 alone.
 
+In the orbit regime (core.orbit_classes: f declares classes, the marginals
+are equal within each, n >= 10 and the count grid is smaller than 2^n), the
+same simplex runs on one column per count vector of the classes, priced by
+one matrix-vector product over the grid, and the certificate scans the grid.
+
 Results do not depend on the units of f. The simplex runs on f / 2^e, where
 2^e = f.scale brings max|f| into [0.5, 1), so its tolerances compare
 like with like at every scale; dividing by a power of two is exact, and a
@@ -34,13 +39,21 @@ the units of f scale their tolerance by the same 2^e.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import Instance, ValidationError, doubling_halves, subset_sums
+from .core import (
+    Instance,
+    ValidationError,
+    count_vectors,
+    doubling_halves,
+    orbit_classes,
+    subset_sums,
+)
 from .distributions import ScenarioDistribution
 
 LP_TOL = 1e-9          # pivot / reduced-cost tolerance, on f / f.scale
@@ -81,6 +94,12 @@ class SimplexStats:
 
 @dataclass(frozen=True)
 class WorstCaseResult:
+    """A scenario-LP optimum: its value, an optimal distribution, and the
+    dual (gamma, lambda) that certifies it. The 2^n-column simplex and the
+    closed form give a basic distribution, at most n + 1 masks; an orbit
+    solve spreads each of its count vectors over that vector's orbit, so
+    its support can be larger."""
+
     value: float
     distribution: ScenarioDistribution
     dual_gamma: float
@@ -182,32 +201,26 @@ _inv = _umath_linalg.inv
 _solve = _umath_linalg.solve1
 
 
-@np.errstate(call=_invalid_arithmetic, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _simplex_max(values: np.ndarray, p):
-    """Maximise values @ alpha over the marginal polytope; returns
-    (basis masks, basic solution, duals y, SimplexStats) at optimality.
+# The columns a simplex solve prices, as the caller gives them: a plain
+# tuple (a NamedTuple's constructor alone costs about 1 us per small solve)
+#   (size, start, price, column, matrix)
+# - size: the number of columns;
+# - start(chain): the column ids of the prefix chain, given its masks;
+# - price(y, bland): the entering column id and its reduced cost under the
+#   duals y, the first argmax under Dantzig pricing and the lowest improving
+#   id under Bland's rule; when that cost exceeds LP_TOL it has also written
+#   the entering constraint column into `column`;
+# - column: that buffer, the column's rows then 1;
+# - matrix(basis, m): the basis matrix of the basis ids, m rows above the 1s.
+_Columns = tuple
 
-    Dantzig pricing (largest reduced cost) with the ratio test's near ties
-    broken by the smallest basic mask; after _BLAND_AFTER consecutive
-    degenerate pivots, Bland's rule (lowest improving mask) for the rest of
-    the solve. The basis inverse is refactored every _REFACTOR_EVERY pivots,
-    and once more before optimality is accepted if pivots were taken since.
 
-    From n = _SCREEN_FROM_N on, a Dantzig pivot is first priced in float32
-    on a float32 copy of the table: its argmax e enters if e's float64
-    reduced cost (f(e) - lambda(e)) - y_n exceeds tol, lambda(e) summed in
-    ascending bit order from 0.0 as the doubling sums it, so that cost is
-    the float64 pass's entry for e bit for bit. Otherwise the pivot takes
-    the float64 pass. Optimality, Bland's rule, the ratio test and the final
-    solves never read a float32 number.
-
-    The basis, the basic solution x_b and the ratio test live in Python
-    lists of n + 1 entries; the basis inverse, the pricing buffer and
-    the two matrix-vector products per pivot stay in numpy."""
-    n = len(p)
+def _mask_columns(values: np.ndarray, n: int) -> _Columns:
+    """The 2^n scenario columns, one per mask: pricing by subset sums
+    (screened in float32 from n = _SCREEN_FROM_N) of the reduced cost
+    f(S) - lambda(S) - y_n, each column the bits of its mask, the start
+    basis the prefix chain of masks."""
     tol = LP_TOL
-    max_iter = _PIVOTS_PER_COLUMN << n
-    b = np.array([*p, 1.0])
     reduced = np.empty(1 << n)
     halves = doubling_halves(reduced, n)
     column = np.ones(n + 1)  # the entering column: its mask's bits, then 1
@@ -217,49 +230,26 @@ def _simplex_max(values: np.ndarray, p):
         # |f| < 1 and a 0/1 basis of order n + 1 has inverse entries below
         # the Hadamard bound (about 4.4e5 at n = 16), so |y| and every
         # float32 subset sum stay far below float32's 3.4e38: no overflow
-        # guard. A NaN here raises SimplexStallError through this solve's
+        # guard. A NaN here raises SimplexStallError through the solve's
         # error state, as one in the float64 pass does.
         single = _screen_table(values)
         reduced32 = np.empty(1 << n, np.float32)
         halves32 = doubling_halves(reduced32, n)
 
-    # The nested prefix sets of the p-descending order plus the empty set form
-    # a (possibly degenerate) feasible basis for any marginals, so no phase 1.
-    order, basis, x_b = prefix_chain(p)
-    binv = start_inverse(order)
-    c_b = values[basis]
-
-    B = None  # the basis matrix of the last refactor
-    bland_at = None
-    degenerate_streak = 0
-    degenerate = 0
-    since_refactor = 0
-    refactors = 0
-    pivots = 0
-
-    def refactor():
-        nonlocal B, binv, x_b, since_refactor, refactors
-        B = _basis_matrix(basis, n)
-        binv = _inv(B, signature="d->d")
-        x_b = [0.0 if v < 0.0 else v for v in (binv @ b).tolist()]
-        since_refactor = 0
-        refactors += 1
-
-    while True:
-        if pivots > max_iter:
-            raise SimplexStallError(f"no optimum within {max_iter} pivots")
-        y = (c_b @ binv).tolist()
+    def price(y: list[float], bland: bool) -> tuple[int, float]:
         y_n = y[n]
         best = -math.inf
-        if screen and bland_at is None:
+        if screen and not bland:
             # float32 proposes the entering column, float64 decides
             subset_sums(y[:n], reduced32, halves32)
             np.subtract(single, reduced32, out=reduced32)
             entering = int(reduced32.argmax())
             lam = 0.0
-            for i in range(n):
-                if entering >> i & 1:
-                    lam += y[i]
+            bits = entering
+            while bits:  # the set bits of entering, lowest first
+                low = bits & -bits
+                lam += y[low.bit_length() - 1]
+                bits ^= low
             best = values.item(entering) - lam - y_n
         if not best > tol:
             # reduced[S] = f(S) - sum_{i in S} y_i, in the one 2^n buffer
@@ -273,28 +263,136 @@ def _simplex_max(values: np.ndarray, p):
             # rule always does.
             entering = int(reduced.argmax())
             top = reduced.item(entering)
-            if bland_at is None and math.nextafter(top, -math.inf) - y_n < top - y_n:
+            if not bland and math.nextafter(top, -math.inf) - y_n < top - y_n:
                 best = top - y_n
             else:
-                reduced -= y_n
-                if bland_at is None:
-                    entering = int(reduced.argmax())
-                else:
+                np.subtract(reduced, y_n, out=reduced)
+                if bland:
                     entering = int((reduced > tol).argmax())  # lowest improving index
+                else:
+                    entering = int(reduced.argmax())
                 best = reduced.item(entering)
+        if best > tol:
+            column[:n] = _mask_bits(entering, shifts)
+        return entering, best
+
+    return 1 << n, list, price, column, _basis_matrix
+
+
+def _count_columns(values: np.ndarray, sizes: list[int]) -> _Columns:
+    """The orbit LP's columns, one per count vector c of classes of sizes
+    n_b (core.count_vectors order): column c is (c_b / n_b for each class b,
+    then 1), so its rows are the class marginals and the total. One
+    matrix-vector product over the grid prices every column. The start
+    basis is the prefix chain taken class by class: its k-th column fills
+    the k classes of largest marginal whole, so its inverse and basic
+    solution are those of the chain of masks over r elements."""
+    tol = LP_TOL
+    r = len(sizes)
+    fractions = count_vectors(sizes) / np.array(sizes, dtype=np.float64)
+    strides = [math.prod(s + 1 for s in sizes[b + 1 :]) for b in range(r)]
+    reduced = np.empty(len(values))
+    column = np.ones(r + 1)
+
+    def start(chain: list[int]) -> list[int]:
+        # a chain mask over the classes holds class b whole: c_b = n_b
+        return [sum(sizes[b] * strides[b] for b in range(r) if mask >> b & 1) for mask in chain]
+
+    def price(y: list[float], bland: bool) -> tuple[int, float]:
+        np.matmul(fractions, y[:r], out=reduced)
+        np.subtract(values, reduced, out=reduced)
+        np.subtract(reduced, y[r], out=reduced)
+        if bland:
+            entering = int((reduced > tol).argmax())  # lowest improving index
+        else:
+            entering = int(reduced.argmax())
+        best = reduced.item(entering)
+        if best > tol:
+            column[:r] = fractions[entering]
+        return entering, best
+
+    def matrix(basis: list[int], r: int) -> np.ndarray:
+        cols = np.ones((r + 1, len(basis)))
+        cols[:r] = fractions[basis].T
+        return cols
+
+    return len(values), start, price, column, matrix
+
+
+@np.errstate(call=_invalid_arithmetic, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _simplex_max(values: np.ndarray, p, columns: _Columns | None = None):
+    """Maximise values @ alpha over the marginal polytope; returns
+    (basis column ids, basic solution, duals y, SimplexStats) at optimality.
+
+    The rows are the marginals p, then the total 1. The columns are
+    `columns`, by default the 2^n masks of _mask_columns (values then holds
+    f at every mask); the orbit LP passes its count vectors.
+
+    Dantzig pricing (largest reduced cost) with the ratio test's near ties
+    broken by the smallest basic column id; after _BLAND_AFTER consecutive
+    degenerate pivots, Bland's rule (lowest improving id) for the rest of
+    the solve. The basis inverse is refactored every _REFACTOR_EVERY pivots,
+    and once more before optimality is accepted if pivots were taken since.
+
+    From n = _SCREEN_FROM_N on, a Dantzig pivot over masks is first priced
+    in float32 on a float32 copy of the table: its argmax e enters if e's
+    float64 reduced cost (f(e) - lambda(e)) - y_n exceeds tol, lambda(e)
+    summed in ascending bit order from 0.0 as the doubling sums it, so that
+    cost is the float64 pass's entry for e bit for bit. Otherwise the pivot
+    takes the float64 pass. Optimality, Bland's rule, the ratio test and the
+    final solves never read a float32 number.
+
+    The basis, the basic solution x_b and the ratio test live in Python
+    lists of len(p) + 1 entries; the basis inverse, the pricing buffer and
+    the two matrix-vector products per pivot stay in numpy."""
+    n = len(p)
+    tol = LP_TOL
+    if columns is None:
+        columns = _mask_columns(values, n)
+    size, start, price, column, matrix = columns
+    max_iter = _PIVOTS_PER_COLUMN * size
+    b = np.array([*p, 1.0])
+
+    # The nested prefix sets of the p-descending order plus the empty set form
+    # a (possibly degenerate) feasible basis for any marginals, so no phase 1.
+    order, chain, x_b = prefix_chain(p)
+    basis = start(chain)
+    binv = start_inverse(order)
+    c_b = values[basis]
+
+    B = None  # the basis matrix of the last refactor
+    bland_at = None
+    degenerate_streak = 0
+    degenerate = 0
+    since_refactor = 0
+    refactors = 0
+    pivots = 0
+
+    def refactor():
+        nonlocal B, binv, x_b, since_refactor, refactors
+        B = matrix(basis, n)
+        binv = _inv(B, signature="d->d")
+        x_b = [0.0 if v < 0.0 else v for v in (binv @ b).tolist()]
+        since_refactor = 0
+        refactors += 1
+
+    while True:
+        if pivots > max_iter:
+            raise SimplexStallError(f"no optimum within {max_iter} pivots")
+        y = (c_b @ binv).tolist()
+        entering, best = price(y, bland_at is not None)
         if best <= tol:
             if since_refactor:
                 refactor()
                 continue  # confirm optimality against a fresh factorisation
             break
-        column[:n] = _mask_bits(entering, shifts)
         d = binv @ column
         dl = d.tolist()
         ratios = {i: x / di for i, (x, di) in enumerate(zip(x_b, dl)) if di > tol}
         if not ratios:
             raise SimplexStallError("no pivot row found; tableau has drifted")
         bound = min(ratios.values()) + tol
-        # Bland tie-break: the smallest basic mask among the near rows
+        # Bland tie-break: the smallest basic column id among the near rows
         leave = min((i for i, r in ratios.items() if r <= bound), key=basis.__getitem__)
         d_leave = dl[leave]
         theta = ratios[leave]
@@ -322,7 +420,7 @@ def _simplex_max(values: np.ndarray, p):
     # Final values and duals from a fresh factorisation: optimality is only
     # accepted with no pivot since the last refactor, whose matrix this is.
     if B is None:
-        B = _basis_matrix(basis, n)
+        B = matrix(basis, n)
     x_b = _solve(B, b, signature="dd->d")
     x_b[x_b < 0] = 0.0
     y = _solve(B.T, c_b, signature="dd->d")
@@ -330,18 +428,58 @@ def _simplex_max(values: np.ndarray, p):
 
 
 def worst_case_lp(inst: Instance) -> WorstCaseResult:
-    """Optimal value, an optimal basic distribution (support <= n+1), and the
-    optimal dual of the scenario LP, solved on f / f.scale."""
+    """Optimal value, an optimal basic distribution, and the optimal dual of
+    the scenario LP, solved on f / f.scale. On the 2^n-column path the
+    support has at most n + 1 masks.
+
+    In the orbit regime (core.orbit_classes) the LP runs on the count grid
+    of f's classes, one column per count vector: lambda_i = y_b / n_b for
+    every i in class b, and each support count vector's probability is
+    spread evenly over the masks of its orbit, so the support may exceed
+    n + 1 masks."""
     n = inst.n
-    values = inst.function.values()
-    scale = inst.function.scale
-    scaled = values if scale == 1.0 else values / scale
-    basis, x_b, y, stats = _simplex_max(scaled, inst.marginals)
-    dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
-    value = float(values[basis] @ x_b)
-    with np.errstate(over="ignore"):  # a dual past float64 reads inf; reports refuse it
+    f = inst.function
+    members = orbit_classes(f, inst.marginals)
+    if members is None:
+        values = f.values()
+        scale = f.scale
+        scaled = values if scale == 1.0 else values / scale
+        basis, x_b, y, stats = _simplex_max(scaled, inst.marginals)
+        dist = ScenarioDistribution(n, list(zip(basis, x_b.tolist())))
+        value = float(values[basis] @ x_b)
+        with np.errstate(over="ignore"):  # a dual past float64 reads inf; reports refuse it
+            duals = (y * scale).tolist()
+        return WorstCaseResult(value, dist, duals[n], tuple(duals[:n]), stats)
+
+    sizes = [len(m) for m in members]
+    grid = f.grid()
+    scale = f.scale
+    scaled = grid if scale == 1.0 else grid / scale
+    class_p = [inst.marginals[m[0]] for m in members]
+    basis, x_b, y, stats = _simplex_max(scaled, class_p, _count_columns(scaled, sizes))
+    value = float(grid[basis] @ x_b)
+    with np.errstate(over="ignore"):
         duals = (y * scale).tolist()
-    return WorstCaseResult(value, dist, duals[n], tuple(duals[:n]), stats)
+    lam = [0.0] * n
+    for m, y_b in zip(members, duals):
+        for i in m:
+            lam[i] = y_b / len(m)
+    support = []
+    for counts, prob in zip(count_vectors(sizes)[basis].tolist(), x_b.tolist()):
+        if prob > 0.0:
+            orbit = _orbit_masks(members, counts)
+            support += [(mask, prob / len(orbit)) for mask in orbit]
+    return WorstCaseResult(value, ScenarioDistribution(n, support), duals[-1], tuple(lam), stats)
+
+
+def _orbit_masks(members: list[list[int]], counts: list[int]) -> list[int]:
+    """Every mask with counts[b] elements of class b, the class elements
+    given by members: the orbit of one count vector."""
+    masks = [0]
+    for m, c in zip(members, counts):
+        subsets = [sum(chosen) for chosen in itertools.combinations([1 << i for i in m], c)]
+        masks = [a | s for a in masks for s in subsets]
+    return masks
 
 
 def supermodular_worst_case(inst: Instance) -> WorstCaseResult:
@@ -380,12 +518,16 @@ def verify_certificate(inst: Instance, result: WorstCaseResult) -> bool:
     are within CERT_TOL * f.scale. A result whose distribution or lambda is
     for another ground set is refused. A subset sum of lambda past float64
     reads +-inf, on the same side of every f(S) as the true sum, so it goes
-    unwarned; an inf dual always fails the objective check."""
+    unwarned; an inf dual always fails the objective check.
+
+    In the orbit regime, a lambda constant on every class of f gives
+    lambda(S) = sum_b c_b(S) lambda_b, so the dual scan over the count grid
+    is the scan over all 2^n scenarios; any other lambda is scanned over
+    every mask."""
     if result.distribution.n != inst.n or len(result.dual_lambda) != inst.n:
         raise ValidationError("certificate and instance ground sets differ")
     p = np.asarray(inst.marginals)
     lam = np.asarray(result.dual_lambda)
-    values = inst.function.values()
     tol_f = CERT_TOL * inst.function.scale
 
     if np.max(np.abs(result.distribution.marginals() - p)) > CERT_TOL:
@@ -397,8 +539,13 @@ def verify_certificate(inst: Instance, result: WorstCaseResult) -> bool:
 
     # max over S of f(S) - lambda(S) - gamma, with gamma taken off the max
     # alone: rounding is monotone, so the two agree exactly
-    excess = subset_sums(lam)
-    np.subtract(values, excess, out=excess)
+    members = orbit_classes(inst.function, inst.marginals)
+    if members and all((lam[m] == lam[m[0]]).all() for m in members):
+        excess = count_vectors([len(m) for m in members]) @ lam[[m[0] for m in members]]
+        np.subtract(inst.function.grid(), excess, out=excess)
+    else:
+        excess = subset_sums(lam)
+        np.subtract(inst.function.values(), excess, out=excess)
     if excess.max() - result.dual_gamma > tol_f:
         return False
 

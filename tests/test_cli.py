@@ -897,7 +897,8 @@ class TestUnitsOfF:
 
         monkeypatch.setattr(core, "unit_scale", counted)
         run_json(capsys, "robust", "--builtin", "example2_two_stage", "--k", "4")
-        assert calls == [1 << 16] * 5  # one per decision, though three LPs and the chain read it
+        # one per decision, on its count grid, though three LPs and the chain read it
+        assert calls == [625, 1280, 729, 208, 17]
 
     @pytest.mark.parametrize(
         "inst",

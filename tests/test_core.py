@@ -132,6 +132,16 @@ class TestEvaluate:
         assert f.scale == 4.0 and f.scale == 4.0 and f.values() is f.values()
         assert calls == [16]
 
+    def test_scale_of_a_class_function_is_computed_once_with_its_grid(self, monkeypatch):
+        # from n = 10 the grid comes first; the table repeats its values and
+        # adds no check
+        calls = []
+        monkeypatch.setattr(core, "unit_scale", lambda v: calls.append(len(v)) or 4.0)
+        f = CoverageMax(10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])
+        assert calls == []
+        assert f.scale == 4.0 and f.scale == 4.0 and f.values() is f.values()
+        assert calls == [36]  # the 6 x 6 count grid
+
     @pytest.mark.parametrize("top", [5e-324, -1e-310])
     def test_computed_subnormal_table_refused_when_built(self, top):
         class Tiny(SetFunction):

@@ -1,8 +1,10 @@
 """Byte-for-byte golden outputs of the command line.
 
 Every command in COMMANDS runs in-process through `corrgap.cli.main`; its exit
-code and full stdout must equal the copy stored in tests/golden/cli.json.
-Regenerate that file only for an intended output change:
+code and full stdout must equal the copy stored in tests/golden/cli.json, and
+it must never enter the orbit regime (core.orbit_classes), so that the golden
+outputs pin the 2^n engines. Regenerate that file only for an intended output
+change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import corrgap.core as core
 from corrgap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -100,8 +103,15 @@ def test_golden_covers_the_command_list():
 
 
 @pytest.mark.parametrize("index", range(len(COMMANDS)), ids=lambda i: " ".join(COMMANDS[i]))
-def test_output_is_byte_identical(index):
-    assert run(COMMANDS[index]) == _golden()[index]
+def test_output_is_byte_identical(index, orbit_entries):
+    result = run(COMMANDS[index])
+    assert orbit_entries == [], f"entered the orbit regime at n = {orbit_entries}; the golden outputs pin the 2^n engines"
+    assert result == _golden()[index]
+
+
+def test_the_orbit_guard_sees_an_entry(orbit_entries):
+    assert run(["gap", "--builtin", "example3", "--n", str(core._ORBIT_FROM_N)])["exit"] == 0
+    assert orbit_entries == [core._ORBIT_FROM_N] * 2
 
 
 if __name__ == "__main__":

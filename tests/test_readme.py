@@ -20,10 +20,11 @@ def test_readme_blocks_run_and_print_their_comments():
         for block in python_blocks():
             exec(compile(block, str(README), "exec"), namespace)
     lines = out.getvalue().splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert lines[0] == "SimplexStats(pivots=2, degenerate_pivots=1, bland_at=None, refactors=1)"
     kappa, bound = lines[1].split()
     assert kappa.startswith("1.421") and bound.startswith("1.581")
     assert lines[2] == "3.8"
     assert lines[3] == "1.0 1.0 True"
     assert lines[4] == "2.0 [0. 1. 1. 2. 1. 2. 2. 3.]"
+    assert lines[5] == "1 12"

@@ -43,6 +43,12 @@ from corrgap.worst_case import (
 )
 
 
+def dense_copy(inst):
+    """The instance with its function as a plain TableFunction of the same
+    table: no classes, so its scenario LP takes the 2^n-column path."""
+    return Instance(TableFunction(inst.function.values()), inst.marginals)
+
+
 def square_instance():
     table = [float(m.bit_count() ** 2) for m in range(8)]
     return Instance(TableFunction(table), (0.8, 0.5, 0.3))
@@ -552,8 +558,8 @@ class TestLeanSimplexMatchesReference:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: coverage_partition_instance(4),
-            lambda: threshold_instance(16),
+            lambda: dense_copy(coverage_partition_instance(4)),
+            lambda: dense_copy(threshold_instance(16)),
             lambda: drawn_instance("random", 16, 16, marginals="random"),
         ],
         ids=["example2-k4", "example3-n16", "random-n16"],
@@ -640,7 +646,7 @@ class TestScreenedPricing:
         self.assert_screened_solve_is_right(monkeypatch, make(n))
 
     def test_example2_k4_matches_highs(self, monkeypatch):
-        self.assert_screened_solve_is_right(monkeypatch, coverage_partition_instance(4))
+        self.assert_screened_solve_is_right(monkeypatch, dense_copy(coverage_partition_instance(4)))
 
     @staticmethod
     def assert_screened_solve_is_right(monkeypatch, inst):
@@ -672,7 +678,10 @@ class TestScreenedPricing:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: coverage_partition_instance(4), lambda: drawn_instance("random", 16, 116, marginals="uniform")],
+        [
+            lambda: dense_copy(coverage_partition_instance(4)),
+            lambda: drawn_instance("random", 16, 116, marginals="uniform"),
+        ],
         ids=["example2-k4", "uniform-n16"],
     )
     def test_a_proposal_that_does_not_improve_does_not_enter(self, monkeypatch, make):
@@ -700,7 +709,7 @@ class TestScreenedPricing:
         # in the reference, which stops screening there.
         monkeypatch.setattr(wc, "_BLAND_AFTER", 1)
         monkeypatch.setattr(wc, "_screen_table", with_single_entry(mask))
-        inst = coverage_partition_instance(4)
+        inst = dense_copy(coverage_partition_instance(4))
         values, p = inst.function.values() / inst.function.scale, np.asarray(inst.marginals)
         basis, x_b, y, stats = reference_simplex_max(values, p)
         lean = wc._simplex_max(values, p)
@@ -788,14 +797,14 @@ class TestPinnedSolveCounts:
         [
             ("worst-case --builtin example2", [(4, 3, None, 1)]),
             ("worst-case --builtin example2 --k 2", [(2, 1, None, 1)]),
-            ("worst-case --builtin example2 --k 4", [(30, 26, None, 1)]),
+            ("worst-case --builtin example2 --k 4", [(3, 0, None, 1)]),  # the orbit LP
             ("worst-case --builtin example3", [(2, 1, None, 1)]),
             ("worst-case --builtin example3 --n 5", [(4, 3, None, 1)]),
-            ("worst-case --builtin example3 --n 16", [(15, 14, None, 1)]),
+            ("worst-case --builtin example3 --n 16", [(1, 0, None, 1)]),  # the orbit LP
             ("worst-case --builtin coverage_random", [(2, 0, None, 1)]),
             ("worst-case --builtin coverage_random --seed 3 --n 4", [(2, 0, None, 1)]),
             ("worst-case --builtin integrality_gap", [(6, 3, None, 1)]),
-            ("gap --builtin example2 --k 4", [(30, 26, None, 1)]),
+            ("gap --builtin example2 --k 4", [(3, 0, None, 1)]),  # the orbit LP
             ("robust --builtin example1", [(0, 0, None, 0)] * 2),
             ("robust --builtin example1 --n 6", [(0, 0, None, 0)] * 2),
             ("robust --builtin example2_two_stage", [(4, 3, None, 1), (4, 3, None, 1), (0, 0, None, 0)]),
